@@ -54,6 +54,15 @@ std::string UsageText() {
   --recover <file>       replay a redo log instead of running a benchmark and
                          print the recovered world's fingerprint (-g selects
                          the replay backend, default mvstm)
+  --listen <port>        run the benchmark on operations arriving over TCP from
+                         --connect clients (0 = ephemeral; docs/SERVING.md)
+  --connect <host:port>  drive a --listen run as a load client instead: -t
+                         connections for -l seconds, mixing operations as -w
+                         and the mix flags say (--max-ops caps the requests)
+  --arrival <model>      with --connect: closed | poisson | bursty (default
+                         closed)
+  --rate <ops/s>         with --connect: aggregate open-loop rate (default 1000)
+  --burst <n>            with --connect: bursty batch size (default 32)
   --differential         run the differential cross-backend oracle instead of
                          a benchmark (uses --seed, -s, --max-ops)
   --fuzz <seed>          run the deterministic fuzz/stress driver (see also
@@ -82,12 +91,19 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
   bool trace_knob_given = false;       // --trace-sample / --trace-buffer
   bool telemetry_knob_given = false;   // --telemetry-interval / --no-hw-counters
   bool durability_knob_given = false;  // --durability / --crash-at
-  // The --fuzz-* companion flags may appear in any order relative to --fuzz.
+  // The --fuzz-* companion flags may appear in any order relative to --fuzz,
+  // and --arrival/--rate/--burst in any order relative to --connect.
   auto fuzz_cli = [&result]() -> FuzzCli& {
     if (!result.fuzz.has_value()) {
       result.fuzz.emplace();
     }
     return *result.fuzz;
+  };
+  auto connect_cli = [&result]() -> ConnectCli& {
+    if (!result.connect.has_value()) {
+      result.connect.emplace();
+    }
+    return *result.connect;
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -273,6 +289,37 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
         return fail("--recover requires a redo-log file path");
       }
       result.recover_path = value;
+    } else if (arg == "--listen") {
+      int64_t port = 0;
+      if (!next(value) || !ParseInt64(value, port) || port < 0 || port > 65535) {
+        return fail("--listen requires a port number in [0,65535]");
+      }
+      result.listen_port = static_cast<int>(port);
+    } else if (arg == "--connect") {
+      std::string::size_type colon;
+      int64_t port = 0;
+      if (!next(value) || (colon = value.rfind(':')) == std::string::npos || colon == 0 ||
+          !ParseInt64(value.substr(colon + 1), port) || port < 1 || port > 65535) {
+        return fail("--connect requires <host>:<port> with a port in [1,65535]");
+      }
+      connect_cli().host = value.substr(0, colon);
+      connect_cli().port = static_cast<int>(port);
+    } else if (arg == "--arrival") {
+      if (!next(value) || !ParseArrivalModel(value, &connect_cli().arrival)) {
+        return fail("--arrival requires closed, poisson or bursty");
+      }
+    } else if (arg == "--rate") {
+      double rate = 0;
+      if (!next(value) || !ParseDouble(value, rate) || rate <= 0) {
+        return fail("--rate requires a positive number of operations per second");
+      }
+      connect_cli().rate = rate;
+    } else if (arg == "--burst") {
+      int64_t burst = 0;
+      if (!next(value) || !ParseInt64(value, burst) || burst < 1) {
+        return fail("--burst requires a positive integer");
+      }
+      connect_cli().burst = static_cast<int>(burst);
     } else if (arg == "--differential") {
       result.differential = true;
     } else if (arg == "--fuzz") {
@@ -339,6 +386,18 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
   if (result.fuzz.has_value() && !fuzz_seed_given) {
     return fail("--fuzz-* flags require --fuzz <seed>");
   }
+  if (result.connect.has_value() && result.connect->host.empty()) {
+    return fail("--arrival/--rate/--burst only apply with --connect <host:port>");
+  }
+  const int modes = static_cast<int>(result.differential) +
+                    static_cast<int>(result.fuzz.has_value()) +
+                    static_cast<int>(!result.recover_path.empty()) +
+                    static_cast<int>(result.listen_port.has_value()) +
+                    static_cast<int>(result.connect.has_value());
+  if (modes > 1) {
+    return fail("--differential, --fuzz, --recover, --listen and --connect are separate modes; "
+                "give at most one");
+  }
   // Mode flags that the selected mode would silently ignore are errors: a
   // flag that reads as a constraint but does nothing misleads ("bug gone").
   if (result.fuzz.has_value() && result.fuzz->case_index < 0 &&
@@ -350,6 +409,10 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
   }
   if (result.differential && result.strategy_given) {
     return fail("--differential always compares all backends; -g is not applicable");
+  }
+  if (result.connect.has_value() && result.strategy_given) {
+    return fail("--connect drives a --listen run, whose -g picks the strategy; "
+                "-g is not applicable");
   }
   if (trace_knob_given && !config.trace) {
     return fail("--trace-sample/--trace-buffer only apply with --trace <file>");

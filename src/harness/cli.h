@@ -1,6 +1,7 @@
 // Command-line parsing for the stmbench7 binary (Appendix A.1, plus the
 // extensions this reproduction adds: scale, seed, index kind, contention
-// manager, operation blacklist, op-count cap).
+// manager, operation blacklist, op-count cap, and the oracle, recovery and
+// served-run modes).
 
 #ifndef STMBENCH7_SRC_HARNESS_CLI_H_
 #define STMBENCH7_SRC_HARNESS_CLI_H_
@@ -31,6 +32,20 @@ struct FuzzCli {
   double budget_seconds = 0.0;
 };
 
+// `--connect`-mode arguments: the load client's target and arrival
+// process. Present iff --connect (or one of --arrival, --rate, --burst) was
+// given. The mix comes from the benchmark-run flags (-w, --read-fraction,
+// --no-traversals, --no-sms, --disable, --short-only); -t sets the
+// connections, -l the duration, --max-ops the request budget, --seed the
+// client's streams.
+struct ConnectCli {
+  std::string host;  // empty until --connect <host:port> is given
+  int port = 0;
+  ArrivalModel arrival = ArrivalModel::kClosed;
+  double rate = 1000.0;  // aggregate open-loop target (op/s)
+  int burst = 32;
+};
+
 struct CliResult {
   BenchConfig config;
   bool show_help = false;
@@ -44,6 +59,11 @@ struct CliResult {
   // Non-empty: replay this redo log (--recover <file>) instead of running a
   // benchmark. The replay backend comes from -g (default mvstm).
   std::string recover_path;
+  // --listen <port>: run the benchmark on operations arriving over TCP
+  // (0 = ephemeral) instead of sampling them locally.
+  std::optional<int> listen_port;
+  // Drive a --listen run as a load client instead of running a benchmark.
+  std::optional<ConnectCli> connect;
   // Set when parsing failed; the message describes the offending argument.
   std::optional<std::string> error;
 };

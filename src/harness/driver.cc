@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <thread>
 
 #include "src/common/timing.h"
@@ -17,10 +16,9 @@ namespace {
 // boundaries and open-loop arrivals land within ~a millisecond.
 constexpr int64_t kPollNanos = 1'000'000;
 
-// An open-loop operation counts as "delayed" only when it started more than
-// one histogram bucket (1 ms) after its scheduled arrival; sub-millisecond
-// lateness is scheduling noise, not queueing.
-constexpr int64_t kDelayedThresholdNanos = 1'000'000;
+// Requests a worker claims per ingress-queue pop: batching amortizes the
+// queue lock without letting one worker starve the others.
+constexpr size_t kIngressBatch = 16;
 
 void SleepNanos(int64_t nanos) {
   std::this_thread::sleep_for(std::chrono::nanoseconds(nanos));
@@ -246,7 +244,12 @@ void BenchmarkRunner::WorkerLoop(int worker_index, Rng rng,
   const auto& ops = registry_.all();
   const int64_t budget = config_.max_operations;
   const int phase_count = static_cast<int>(phases_.size());
-  std::vector<PaceState> pace_state(phases_.size());
+  IngressQueue* const ingress = config_.ingress;
+  std::vector<ArrivalSchedule> schedules(phases_.size());
+  // This iteration's operations: a batch of admitted client requests in a
+  // served run, otherwise one locally sampled operation (request_id 0, due
+  // at its scheduled arrival).
+  std::vector<IngressRequest> work;
 
   // Register with the EBR domain before the first operation: a worker must
   // be visible to reclamation before it can chase optimistic pointers.
@@ -280,193 +283,136 @@ void BenchmarkRunner::WorkerLoop(int worker_index, Rng rng,
       continue;
     }
 
-    if (config_.ingress != nullptr) {
-      // Serve mode: drain admitted client requests in batches instead of
+    work.clear();
+    // Whether the operations record how late they started, and the rate
+    // that lateness is read against for the backlog estimate (0 = none).
+    bool paced = false;
+    double pace_rate = 0.0;
+    if (ingress != nullptr) {
+      // Served run: drain admitted client requests in batches instead of
       // sampling operations locally. The phase checks above still apply, so
       // a scenario can reshape thread count / hotspot skew mid-serve; the
-      // arrival process itself lives on the clients, so the open-loop
-      // pacing below is skipped entirely.
-      std::vector<net::IngressRequest> batch;
-      batch.reserve(config_.ingress_batch);
-      const size_t got =
-          config_.ingress->PopBatch(&batch, config_.ingress_batch, /*timeout_ms=*/5);
-      if (got == 0) {
-        if (config_.ingress->closed()) {
+      // arrival process itself lives on the clients, so a request is due
+      // when it was admitted and the backlog is the queue depth itself.
+      if (ingress->PopBatch(&work, kIngressBatch, /*timeout_ms=*/5) == 0) {
+        if (ingress->closed()) {
           break;  // drained and no more producers: run is over
         }
         continue;  // idle tick; re-check phase deadline at the loop top
       }
-      PaceMetrics& pm = pace[p];
-      pm.backlog_peak = std::max(
-          pm.backlog_peak, static_cast<int64_t>(config_.ingress->size()));
-      bool budget_hit = false;
-      for (const net::IngressRequest& request : batch) {
-        if (budget_hit ||
-            (budget >= 0 &&
-             started_budget_.fetch_add(1, std::memory_order_relaxed) >= budget)) {
-          // Out of budget: the popped request must still be answered, and
-          // kRejected is the honest outcome — it was never executed.
-          budget_hit = true;
-          if (config_.on_ingress_complete) {
-            config_.on_ingress_complete(request, net::Status::kRejected, 0);
-          }
-          continue;
-        }
-        const int64_t begin = NowNanos();
-        pm.arrivals += 1;
-        const int64_t delay = begin - request.accepted_nanos;
-        pm.queue_delay.Record(delay > 0 ? delay : 0);
-        if (delay > kDelayedThresholdNanos) {
-          pm.delayed += 1;
-        }
-        if (request.op_index >= ops.size()) {
-          if (config_.on_ingress_complete) {
-            config_.on_ingress_complete(request, net::Status::kBadRequest, 0);
-          }
-          continue;
-        }
-        const int index = request.op_index;
-        SetTxOpContext(index);
-        // Tag the attempt context so the redo log's member records carry the
-        // client's request id — what makes `acked ⊆ durable` checkable
-        // against a recovered log (tests/recovery_test.cc).
-        redo::SetCaptureClientTag(request.request_id);
-        try {
-          strategy_->Execute(*ops[index], *data_, rng);
-          const int64_t latency = NowNanos() - begin;
-          metrics[p][index].RecordSuccess(latency);
-          if (telemetry_ != nullptr) {
-            telemetry_->RecordOp(true, latency);
-          }
-          if (config_.on_ingress_complete) {
-            config_.on_ingress_complete(request, net::Status::kOk, latency);
-          }
-        } catch (const OperationFailed&) {
-          metrics[p][index].RecordFailure();
-          if (telemetry_ != nullptr) {
-            telemetry_->RecordOp(false, 0);
-          }
-          if (config_.on_ingress_complete) {
-            config_.on_ingress_complete(request, net::Status::kOpFailed,
-                                        NowNanos() - begin);
-          }
-        }
-        SetTxOpContext(-1);
-        redo::SetCaptureClientTag(0);
-        phase.executed.fetch_add(1, std::memory_order_relaxed);
-      }
-      EbrDomain::Global().Quiesce();
-      if (budget_hit) {
-        stop_.store(true, std::memory_order_relaxed);
-      }
-      continue;
-    }
-
-    // Claim a phase slot before touching the global budget: workers waiting
-    // out a capped phase must not burn budget that later phases still need.
-    if (phase.spec.max_ops >= 0 &&
-        phase.claimed.fetch_add(1, std::memory_order_relaxed) >= phase.spec.max_ops) {
-      SleepNanos(kPollNanos / 4);  // cap reached; wait for the phase to flip
-      continue;
-    }
-    if (budget >= 0 && started_budget_.fetch_add(1, std::memory_order_relaxed) >= budget) {
-      stop_.store(true, std::memory_order_relaxed);
-      break;
-    }
-
-    // Open-loop pacing: wait for this worker's next scheduled arrival.
-    const bool open_loop = phase.spec.arrival != ArrivalModel::kClosed;
-    int64_t arrival = 0;
-    if (open_loop) {
-      PaceState& state = pace_state[p];
-      const double worker_rate =
-          phase.spec.rate_ops_per_sec / static_cast<double>(phase.active_threads);
-      if (state.next_arrival_nanos < 0) {
-        // First arrival of this phase for this worker: start the process at
-        // the later of phase start and now — a worker entering late (still
-        // finishing the previous phase's operation) must not count its own
-        // lateness as queue delay — and stagger Poisson workers by one drawn
-        // gap instead of firing them all at the boundary in lockstep.
-        state.next_arrival_nanos = std::max(phase_start, NowNanos());
-        if (phase.spec.arrival == ArrivalModel::kPoisson) {
-          state.next_arrival_nanos +=
-              static_cast<int64_t>(-std::log1p(-rng.NextDouble()) * 1e9 / worker_rate);
-        }
-      }
-      arrival = state.next_arrival_nanos;
-      int64_t gap = 0;
-      if (phase.spec.arrival == ArrivalModel::kPoisson) {
-        // Exponential inter-arrival gap; exactly one uniform draw per
-        // arrival keeps fixed-seed runs stream-deterministic.
-        gap = static_cast<int64_t>(-std::log1p(-rng.NextDouble()) * 1e9 / worker_rate);
-      } else {
-        // Bursty: batches of burst_size back-to-back arrivals, spaced so
-        // the average rate still meets the target.
-        state.arrival_count += 1;
-        if (state.arrival_count % phase.spec.burst_size == 0) {
-          gap = static_cast<int64_t>(static_cast<double>(phase.spec.burst_size) * 1e9 /
-                                     worker_rate);
-        }
-      }
-      state.next_arrival_nanos = arrival + gap;
-
-      // Wait for the arrival, but never past the phase deadline: with a low
-      // rate every active worker can be parked here, and someone must still
-      // reach the loop top in time to advance the phase.
-      const int64_t phase_deadline = phase_start + phase.duration_nanos;
-      bool interrupted = false;
-      int64_t now = 0;
-      while ((now = NowNanos()) < arrival) {
-        if (now >= phase_deadline || current_phase_.load(std::memory_order_relaxed) != p ||
-            stop_.load(std::memory_order_relaxed)) {
-          interrupted = true;
-          break;
-        }
-        SleepNanos(std::min(arrival - now, kPollNanos));
-      }
-      if (interrupted) {
-        // The phase ended while we waited: drop the arrival and hand its
-        // global-budget claim back — the operation never started.
-        if (budget >= 0) {
-          started_budget_.fetch_sub(1, std::memory_order_relaxed);
-        }
+      pace[p].backlog_peak =
+          std::max(pace[p].backlog_peak, static_cast<int64_t>(ingress->size()));
+      paced = true;
+    } else {
+      // Claim a phase slot before touching the global budget: workers
+      // waiting out a capped phase must not burn budget that later phases
+      // still need.
+      if (phase.spec.max_ops >= 0 &&
+          phase.claimed.fetch_add(1, std::memory_order_relaxed) >= phase.spec.max_ops) {
+        SleepNanos(kPollNanos / 4);  // cap reached; wait for the phase to flip
         continue;
       }
+      if (budget >= 0 && started_budget_.fetch_add(1, std::memory_order_relaxed) >= budget) {
+        stop_.store(true, std::memory_order_relaxed);
+        break;
+      }
+
+      IngressRequest sampled;
+      if (phase.spec.arrival != ArrivalModel::kClosed) {
+        // Open-loop pacing: wait for this worker's next scheduled arrival.
+        ArrivalSchedule& schedule = schedules[p];
+        if (!schedule.started()) {
+          // First arrival of this phase for this worker: start the process
+          // at the later of phase start and now — a worker entering late
+          // (still finishing the previous phase's operation) must not count
+          // its own lateness as queue delay.
+          schedule.Start(phase.spec.arrival,
+                         phase.spec.rate_ops_per_sec / static_cast<double>(phase.active_threads),
+                         phase.spec.burst_size, std::max(phase_start, NowNanos()), rng);
+        }
+        sampled.accepted_nanos = schedule.Next(rng);
+
+        // Wait for the arrival, but never past the phase deadline: with a
+        // low rate every active worker can be parked here, and someone must
+        // still reach the loop top in time to advance the phase.
+        const int64_t phase_deadline = phase_start + phase.duration_nanos;
+        bool interrupted = false;
+        int64_t now = 0;
+        while ((now = NowNanos()) < sampled.accepted_nanos) {
+          if (now >= phase_deadline || current_phase_.load(std::memory_order_relaxed) != p ||
+              stop_.load(std::memory_order_relaxed)) {
+            interrupted = true;
+            break;
+          }
+          SleepNanos(std::min(sampled.accepted_nanos - now, kPollNanos));
+        }
+        if (interrupted) {
+          // The phase ended while we waited: drop the arrival and hand its
+          // global-budget claim back — the operation never started.
+          if (budget >= 0) {
+            started_budget_.fetch_sub(1, std::memory_order_relaxed);
+          }
+          continue;
+        }
+        paced = true;
+        pace_rate = schedule.rate();
+      }
+      sampled.op_index = static_cast<uint16_t>(SampleOperation(phase.ratios, rng));
+      work.push_back(sampled);
     }
 
-    const int index = SampleOperation(phase.ratios, rng);
-    const int64_t begin = NowNanos();
-    if (open_loop) {
-      PaceMetrics& pm = pace[p];
-      pm.arrivals += 1;
-      const int64_t delay = begin - arrival;
-      pm.queue_delay.Record(delay > 0 ? delay : 0);
-      if (delay > kDelayedThresholdNanos) {
-        pm.delayed += 1;
-        const double worker_rate =
-            phase.spec.rate_ops_per_sec / static_cast<double>(phase.active_threads);
-        const auto backlog =
-            static_cast<int64_t>(static_cast<double>(delay) / 1e9 * worker_rate);
-        pm.backlog_peak = std::max(pm.backlog_peak, backlog);
+    bool budget_hit = false;
+    for (const IngressRequest& request : work) {
+      if (ingress != nullptr &&
+          (budget_hit || (budget >= 0 && started_budget_.fetch_add(
+                                             1, std::memory_order_relaxed) >= budget))) {
+        // Out of budget: the popped request must still be answered, and
+        // kRejected is the honest outcome — it was never executed.
+        budget_hit = true;
+        ingress->Complete(request, IngressStatus::kRejected, 0);
+        continue;
+      }
+      const int64_t begin = NowNanos();
+      if (paced) {
+        RecordArrivalDelay(pace[p], begin - request.accepted_nanos, pace_rate);
+      }
+      if (request.op_index >= ops.size()) {
+        // Only a client can name an operation the registry does not have.
+        ingress->Complete(request, IngressStatus::kBadRequest, 0);
+        continue;
+      }
+      const int index = request.op_index;
+      SetTxOpContext(index);
+      // Tag the attempt context so the redo log's member records carry the
+      // client's request id — what makes `acked ⊆ durable` checkable
+      // against a recovered log (tests/recovery_test.cc).
+      redo::SetCaptureClientTag(request.request_id);
+      IngressStatus status = IngressStatus::kOk;
+      int64_t latency = 0;
+      try {
+        strategy_->Execute(*ops[index], *data_, rng);
+        latency = NowNanos() - begin;
+        metrics[p][index].RecordSuccess(latency);
+      } catch (const OperationFailed&) {
+        latency = NowNanos() - begin;
+        metrics[p][index].RecordFailure();
+        status = IngressStatus::kOpFailed;
+      }
+      if (telemetry_ != nullptr) {
+        telemetry_->RecordOp(status == IngressStatus::kOk,
+                             status == IngressStatus::kOk ? latency : 0);
+      }
+      SetTxOpContext(-1);
+      redo::SetCaptureClientTag(0);
+      phase.executed.fetch_add(1, std::memory_order_relaxed);
+      if (ingress != nullptr) {
+        ingress->Complete(request, status, latency);
       }
     }
-    SetTxOpContext(index);
-    try {
-      strategy_->Execute(*ops[index], *data_, rng);
-      const int64_t latency = NowNanos() - begin;
-      metrics[p][index].RecordSuccess(latency);
-      if (telemetry_ != nullptr) {
-        telemetry_->RecordOp(true, latency);
-      }
-    } catch (const OperationFailed&) {
-      metrics[p][index].RecordFailure();
-      if (telemetry_ != nullptr) {
-        telemetry_->RecordOp(false, 0);
-      }
-    }
-    SetTxOpContext(-1);
-    phase.executed.fetch_add(1, std::memory_order_relaxed);
     EbrDomain::Global().Quiesce();
+    if (budget_hit) {
+      stop_.store(true, std::memory_order_relaxed);
+    }
   }
 }
 
@@ -528,14 +474,10 @@ BenchResult BenchmarkRunner::Run() {
     // whatever was admitted but never popped — a closed-loop client must
     // never be left waiting on a request no worker will execute.
     config_.ingress->Close();
-    std::vector<net::IngressRequest> stranded;
-    while (config_.ingress->PopBatch(&stranded, 64, /*timeout_ms=*/0) > 0) {
-      if (config_.on_ingress_complete) {
-        for (const net::IngressRequest& request : stranded) {
-          config_.on_ingress_complete(request, net::Status::kRejected, 0);
-        }
-      }
-      stranded.clear();
+    std::vector<IngressRequest> stranded;
+    config_.ingress->PopBatch(&stranded, config_.ingress->capacity(), /*timeout_ms=*/0);
+    for (const IngressRequest& request : stranded) {
+      config_.ingress->Complete(request, IngressStatus::kRejected, 0);
     }
   }
   if (redo_writer_ != nullptr) {

@@ -14,7 +14,6 @@
 #define STMBENCH7_SRC_HARNESS_DRIVER_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -23,9 +22,8 @@
 
 #include "src/common/hotspot.h"
 #include "src/mvstm/group_commit.h"
-#include "src/net/ingress.h"
-#include "src/net/wire.h"
 #include "src/core/data_holder.h"
+#include "src/harness/ingress.h"
 #include "src/harness/metrics.h"
 #include "src/harness/workload.h"
 #include "src/scenario/scenario.h"
@@ -114,21 +112,14 @@ struct BenchConfig {
   // -1 = unlimited. Used by tests and benches for determinism.
   int64_t max_operations = -1;
 
-  // Network serve mode (sb7-serve --listen): when set, workers stop
+  // Served run (CLI --listen, sb7-bench wire cells): when set, workers stop
   // sampling operations locally and instead drain admitted client requests
   // from this queue in batches, executing each under the current phase's
-  // accounting (per-op metrics, telemetry, queue-delay percentiles). The
-  // queue must outlive the runner; the run ends when the queue is closed
-  // and drained, or at the usual wall-clock deadline.
-  net::IngressQueue* ingress = nullptr;
-  // Invoked once per drained ingress request with its outcome and the
-  // server-side execute latency; the serve front-end writes the response
-  // frame here. Called from worker threads — must be thread-safe.
-  std::function<void(const net::IngressRequest&, net::Status, int64_t)>
-      on_ingress_complete;
-  // Requests a worker claims per queue pop: batching amortizes the queue
-  // lock without letting one worker starve the others.
-  size_t ingress_batch = 16;
+  // accounting (per-op metrics, telemetry, queue-delay percentiles) and
+  // answering it through IngressQueue::Complete. The queue must outlive
+  // the runner; the run ends when the queue is closed and drained, or at
+  // the usual wall-clock deadline.
+  IngressQueue* ingress = nullptr;
 };
 
 class BenchmarkRunner {
@@ -193,12 +184,6 @@ class BenchmarkRunner {
     // with perf_event available only; {available=false} otherwise).
     telemetry::HwSample hw_begin;
     telemetry::HwSample hw_end;
-  };
-
-  // Per-worker open-loop pacing state for one phase.
-  struct PaceState {
-    int64_t next_arrival_nanos = -1;  // -1 until the worker enters the phase
-    int64_t arrival_count = 0;
   };
 
   void WorkerLoop(int worker_index, Rng rng,

@@ -1,8 +1,8 @@
-#include "src/net/ingress.h"
+#include "src/harness/ingress.h"
 
 #include <chrono>
 
-namespace sb7::net {
+namespace sb7 {
 
 bool IngressQueue::TryPush(const IngressRequest& request) {
   {
@@ -62,4 +62,4 @@ uint64_t IngressQueue::rejected() const {
   return rejected_;
 }
 
-}  // namespace sb7::net
+}  // namespace sb7

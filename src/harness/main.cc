@@ -1,10 +1,13 @@
 // The stmbench7 command-line benchmark (Appendix A), plus the correctness-
 // oracle modes: --differential (cross-backend replay), --fuzz (deterministic
 // fuzz/stress sweep with shrinking) and --check-opacity (record the run's
-// committed history and verify it is opaque).
+// committed history and verify it is opaque); --recover (replay a redo log);
+// and the served run: --listen runs the benchmark on operations arriving over
+// TCP, --connect drives such a run as a load client (docs/SERVING.md).
 
 #include <fstream>
 #include <iostream>
+#include <optional>
 
 #include "src/check/differential.h"
 #include "src/check/fuzz.h"
@@ -13,6 +16,8 @@
 #include "src/harness/cli.h"
 #include "src/harness/report.h"
 #include "src/mvstm/redo_log.h"
+#include "src/net/client.h"
+#include "src/net/server.h"
 #include "src/trace/chrome_trace.h"
 
 namespace {
@@ -125,6 +130,56 @@ int RunRecoverMode(const std::string& path, const std::string& backend) {
   return result.ok ? 0 : 1;
 }
 
+// --connect <host:port>: drive a --listen run as a load client. The mix is
+// the one a local run with the same flags samples. Exit codes: 0 = ran,
+// 1 = the client failed (connect, handshake, connection lost).
+int RunConnectMode(const sb7::BenchConfig& config, const sb7::ConnectCli& connect) {
+  sb7::net::ClientOptions options;
+  options.host = connect.host;
+  options.port = connect.port;
+  options.connections = config.threads;
+  options.seconds = config.length_seconds;
+  options.arrival = connect.arrival;
+  options.rate_ops_per_sec = connect.rate;
+  options.burst_size = connect.burst;
+  options.seed = config.seed;
+  options.max_ops = config.max_operations;
+  sb7::OperationRegistry registry;
+  options.ratios = sb7::ComputeOperationRatios(
+      registry, config.read_fraction.value_or(sb7::ReadOnlyFraction(config.workload)),
+      config.long_traversals, config.structure_mods, config.disabled_ops);
+
+  std::cerr << "driving " << connect.host << ":" << connect.port << " with "
+            << options.connections << " connection(s), arrival "
+            << sb7::ArrivalModelName(connect.arrival) << ", for " << options.seconds
+            << " s...\n";
+  const sb7::net::ClientResult result = sb7::net::RunLoadClient(options);
+  if (!result.Ok()) {
+    std::cerr << "error: " << result.error << "\n";
+    return 1;
+  }
+  std::cout << "client: sent " << result.sent << ", ok " << result.ok << ", op_failed "
+            << result.op_failed << ", rejected " << result.rejected << ", bad " << result.bad
+            << ", lost " << result.lost << "\n";
+  std::cout << "throughput: " << result.Throughput() << " op/s over "
+            << result.elapsed_seconds << " s\n";
+  std::cout << "latency ms: p50 " << result.latency.QuantileMillis(0.50) << "  p90 "
+            << result.latency.QuantileMillis(0.90) << "  p99 "
+            << result.latency.QuantileMillis(0.99) << "  p999 "
+            << result.latency.QuantileMillis(0.999) << "  max "
+            << static_cast<double>(result.latency.max_nanos()) / 1e6 << "\n";
+  std::cout << "server-side execute ms: p50 " << result.server_latency.QuantileMillis(0.50)
+            << "  p99 " << result.server_latency.QuantileMillis(0.99) << "\n";
+  if (result.pace.arrivals > 0) {
+    std::cout << "pacing: arrivals " << result.pace.arrivals << ", delayed "
+              << result.pace.delayed << " (queue delay p50 "
+              << result.pace.queue_delay.QuantileMillis(0.50) << " ms, p99 "
+              << result.pace.queue_delay.QuantileMillis(0.99) << " ms, backlog peak "
+              << result.pace.backlog_peak << ")\n";
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -147,14 +202,36 @@ int main(int argc, char** argv) {
     return RunRecoverMode(cli.recover_path,
                           cli.strategy_given ? cli.config.strategy : "mvstm");
   }
+  if (cli.connect.has_value()) {
+    return RunConnectMode(cli.config, *cli.connect);
+  }
 
+  // --listen: the workers drain the requests the server admits into this
+  // queue instead of sampling operations locally.
+  sb7::IngressQueue ingress(sb7::kIngressCapacity);
+  if (cli.listen_port.has_value()) {
+    cli.config.ingress = &ingress;
+  }
   std::cerr << "building the " << cli.config.scale << " structure...\n";
   sb7::BenchmarkRunner runner(cli.config);
+  std::optional<sb7::net::OpServer> server;
+  if (cli.listen_port.has_value()) {
+    server.emplace(sb7::net::ServerOptions{*cli.listen_port}, &ingress,
+                   static_cast<uint16_t>(runner.registry().all().size()));
+    std::string error;
+    if (!server->Start(&error)) {
+      std::cerr << "error: cannot listen: " << error << "\n";
+      return 2;
+    }
+  }
   std::cerr << "running " << runner.spawned_threads() << " thread(s) for "
             << cli.config.length_seconds << " s under '" << cli.config.strategy << "'";
   if (cli.config.scenario.has_value()) {
     std::cerr << " (scenario '" << cli.config.scenario->name << "', "
               << cli.config.scenario->phases.size() << " phases)";
+  }
+  if (server.has_value()) {
+    std::cerr << " on operations arriving at port " << server->port();
   }
   std::cerr << "...\n";
 
@@ -187,6 +264,16 @@ int main(int argc, char** argv) {
     recorder.Uninstall();
   }
   sb7::PrintReport(std::cout, runner, result);
+  if (server.has_value()) {
+    // Run() closed the queue and answered everything admitted; late
+    // arrivals got typed rejections until now.
+    server->Stop();
+    const sb7::net::ServerStats stats = server->stats();
+    std::cout << "serve: sessions accepted " << stats.sessions_accepted << ", dropped "
+              << stats.sessions_dropped << ", frames in " << stats.frames_in << ", bad "
+              << stats.bad_frames << ", admitted " << ingress.accepted() << ", rejected "
+              << ingress.rejected() << "\n";
+  }
 
   if (runner.redo_writer() != nullptr) {
     const sb7::redo::RedoLogWriter& writer = *runner.redo_writer();

@@ -2,9 +2,10 @@
 
 #include <array>
 #include <cmath>
-#include <cstdio>
 #include <iomanip>
 #include <string>
+
+#include "src/common/json_string.h"
 
 namespace sb7 {
 namespace {
@@ -22,15 +23,6 @@ constexpr std::array<OpCategory, 4> kCategories = {
 // run-level STM block (validation_steps, kills, abort causes).
 constexpr int kCsvSchemaVersion = 3;
 
-// Pair-matrix axis label: slot 0 is activity outside any operation (setup,
-// tests), slot i+1 is registry op i.
-std::string SlotName(const std::vector<std::unique_ptr<Operation>>& ops, int slot) {
-  if (slot <= 0 || static_cast<size_t>(slot) > ops.size()) {
-    return "(none)";
-  }
-  return ops[slot - 1]->name();
-}
-
 void PrintConflictSummary(std::ostream& out, const trace::ConflictSummary& conflicts,
                           const std::vector<std::unique_ptr<Operation>>& ops,
                           const char* indent) {
@@ -41,8 +33,8 @@ void PrintConflictSummary(std::ostream& out, const trace::ConflictSummary& confl
         << location.aborts << " aborts\n";
   }
   for (const trace::ConflictPair& pair : conflicts.top_pairs) {
-    out << indent << "  " << SlotName(ops, pair.victim_slot) << " killed by "
-        << SlotName(ops, pair.writer_slot) << ": " << pair.aborts << "\n";
+    out << indent << "  " << OpSlotName(ops, pair.victim_slot) << " killed by "
+        << OpSlotName(ops, pair.writer_slot) << ": " << pair.aborts << "\n";
   }
 }
 
@@ -112,6 +104,30 @@ void PrintPhaseSection(std::ostream& out, const PhaseResult& phase,
 }
 
 }  // namespace
+
+std::string OpSlotName(const std::vector<std::unique_ptr<Operation>>& ops, int slot) {
+  if (slot <= 0 || static_cast<size_t>(slot) > ops.size()) {
+    return "(none)";
+  }
+  return ops[slot - 1]->name();
+}
+
+void WriteStmJson(std::ostream& out, const StmStats::View& stm, const char* indent) {
+  out << "{\n";
+  out << indent << "  \"starts\": " << stm.starts << ", \"commits\": " << stm.commits
+      << ", \"aborts\": " << stm.aborts << ",\n";
+  out << indent << "  \"reads\": " << stm.reads << ", \"writes\": " << stm.writes
+      << ", \"validation_steps\": " << stm.validation_steps
+      << ", \"bytes_cloned\": " << stm.bytes_cloned << ", \"kills\": " << stm.kills << ",\n";
+  out << indent << "  \"ro_starts\": " << stm.ro_starts
+      << ", \"ro_commits\": " << stm.ro_commits << ", \"ro_aborts\": " << stm.ro_aborts
+      << ",\n";
+  out << indent << "  \"abort_causes\": {\"read_validation\": " << stm.aborts_read_validation
+      << ", \"write_lock\": " << stm.aborts_write_lock << ", \"kill\": " << stm.aborts_kill
+      << ", \"snapshot_too_old\": " << stm.aborts_snapshot_too_old
+      << ", \"unknown\": " << stm.aborts_unknown << "}\n";
+  out << indent << "}";
+}
 
 void PrintReport(std::ostream& out, const BenchmarkRunner& runner, const BenchResult& result) {
   const BenchConfig& config = runner.config();
@@ -286,7 +302,7 @@ void PrintReport(std::ostream& out, const BenchmarkRunner& runner, const BenchRe
           continue;
         }
         const double n = static_cast<double>(lat.attempts);
-        out << std::left << std::setw(10) << SlotName(ops, static_cast<int>(slot))
+        out << std::left << std::setw(10) << OpSlotName(ops, static_cast<int>(slot))
             << std::right << std::setw(10) << lat.attempts << std::setw(10) << lat.commits
             << std::fixed << std::setprecision(1) << std::setw(10)
             << static_cast<double>(lat.read_nanos) / n / 1e3 << std::setw(12)
@@ -387,53 +403,6 @@ void WriteCsv(std::ostream& out, const BenchmarkRunner& runner, const BenchResul
 
 namespace {
 
-std::string JsonString(std::string_view text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-void WriteStmJson(std::ostream& out, const StmStats::View& stm, const char* indent) {
-  out << "{\n";
-  out << indent << "  \"starts\": " << stm.starts << ", \"commits\": " << stm.commits
-      << ", \"aborts\": " << stm.aborts << ",\n";
-  out << indent << "  \"reads\": " << stm.reads << ", \"writes\": " << stm.writes
-      << ", \"validation_steps\": " << stm.validation_steps
-      << ", \"bytes_cloned\": " << stm.bytes_cloned << ", \"kills\": " << stm.kills << ",\n";
-  out << indent << "  \"ro_starts\": " << stm.ro_starts
-      << ", \"ro_commits\": " << stm.ro_commits << ", \"ro_aborts\": " << stm.ro_aborts
-      << ",\n";
-  out << indent << "  \"abort_causes\": {\"read_validation\": " << stm.aborts_read_validation
-      << ", \"write_lock\": " << stm.aborts_write_lock << ", \"kill\": " << stm.aborts_kill
-      << ", \"snapshot_too_old\": " << stm.aborts_snapshot_too_old
-      << ", \"unknown\": " << stm.aborts_unknown << "}\n";
-  out << indent << "}";
-}
-
 void WriteConflictsJson(std::ostream& out, const trace::ConflictSummary& conflicts,
                         const std::vector<std::unique_ptr<Operation>>& ops,
                         const char* indent) {
@@ -450,8 +419,8 @@ void WriteConflictsJson(std::ostream& out, const trace::ConflictSummary& conflic
   out << indent << "  \"top_pairs\": [";
   for (size_t i = 0; i < conflicts.top_pairs.size(); ++i) {
     const trace::ConflictPair& pair = conflicts.top_pairs[i];
-    out << (i == 0 ? "" : ", ") << "{\"victim\": " << JsonString(SlotName(ops, pair.victim_slot))
-        << ", \"writer\": " << JsonString(SlotName(ops, pair.writer_slot))
+    out << (i == 0 ? "" : ", ") << "{\"victim\": " << JsonString(OpSlotName(ops, pair.victim_slot))
+        << ", \"writer\": " << JsonString(OpSlotName(ops, pair.writer_slot))
         << ", \"aborts\": " << pair.aborts << "}";
   }
   out << "]\n";
@@ -502,7 +471,7 @@ void WriteJson(std::ostream& out, const BenchmarkRunner& runner, const BenchResu
       }
       out << (first_slot ? "\n" : ",\n");
       first_slot = false;
-      out << "      {\"op\": " << JsonString(SlotName(ops, static_cast<int>(slot)))
+      out << "      {\"op\": " << JsonString(OpSlotName(ops, static_cast<int>(slot)))
           << ", \"attempts\": " << lat.attempts << ", \"commits\": " << lat.commits
           << ", \"aborts\": " << lat.aborts << ", \"read_nanos\": " << lat.read_nanos
           << ", \"validation_nanos\": " << lat.validation_nanos

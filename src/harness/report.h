@@ -12,6 +12,15 @@ namespace sb7 {
 
 void PrintReport(std::ostream& out, const BenchmarkRunner& runner, const BenchResult& result);
 
+// Name of a conflict-table op slot: slot 0 is activity outside any
+// operation (setup, tests), slot i+1 is registry op i.
+std::string OpSlotName(const std::vector<std::unique_ptr<Operation>>& ops, int slot);
+
+// One StmStats block as a JSON object (counters plus the "abort_causes"
+// sub-object); `indent` prefixes the object's inner lines. Shared by the
+// CLI JSON report and the BENCH artifact.
+void WriteStmJson(std::ostream& out, const StmStats::View& stm, const char* indent);
+
 // Machine-readable CSV (schema 3): '#'-prefixed metadata lines (including
 // the per-cause abort breakdown), then one row per enabled operation (name,
 // category, read_only, configured ratio, completed, failed,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <thread>
 #include <unordered_map>
 
@@ -16,10 +15,6 @@
 namespace sb7::net {
 
 namespace {
-
-/// Matches the driver's "delayed" threshold: sub-millisecond lateness is
-/// scheduling noise, not queueing.
-constexpr int64_t kDelayedThresholdNanos = 1'000'000;
 
 /// Sleep granularity while waiting for a scheduled arrival.
 constexpr int64_t kPaceSleepNanos = 200'000;
@@ -144,40 +139,22 @@ void RunConnection(const ClientOptions& options, int64_t op_budget, Rng rng,
   }
 
   const bool open_loop = options.arrival != ArrivalModel::kClosed;
-  const double worker_rate =
-      options.rate_ops_per_sec / std::max(1, options.connections);
   const int64_t start = NowNanos();
   const int64_t deadline =
       start + static_cast<int64_t>(options.seconds * 1e9);
-  int64_t next_arrival = start;
-  if (options.arrival == ArrivalModel::kPoisson) {
-    // Stagger the first arrival by one drawn gap, like the driver, so the
-    // connections don't fire in lockstep at t=0.
-    next_arrival +=
-        static_cast<int64_t>(-std::log1p(-rng.NextDouble()) * 1e9 / worker_rate);
+  ArrivalSchedule schedule;
+  if (open_loop) {
+    schedule.Start(options.arrival,
+                   options.rate_ops_per_sec / std::max(1, options.connections),
+                   options.burst_size, start, rng);
   }
-  int64_t arrival_count = 0;
   uint64_t next_id = 1;
 
   while (NowNanos() < deadline &&
          (op_budget < 0 || state.result.sent < op_budget)) {
     int64_t reference;
     if (open_loop) {
-      const int64_t arrival = next_arrival;
-      int64_t gap = 0;
-      if (options.arrival == ArrivalModel::kPoisson) {
-        gap = static_cast<int64_t>(-std::log1p(-rng.NextDouble()) * 1e9 /
-                                   worker_rate);
-      } else {
-        // Bursty: burst_size back-to-back arrivals, spaced so the average
-        // rate still meets the target (same math as the driver).
-        arrival_count += 1;
-        if (arrival_count % options.burst_size == 0) {
-          gap = static_cast<int64_t>(
-              static_cast<double>(options.burst_size) * 1e9 / worker_rate);
-        }
-      }
-      next_arrival = arrival + gap;
+      const int64_t arrival = schedule.Next(rng);
       int64_t now;
       bool expired = false;
       while ((now = NowNanos()) < arrival) {
@@ -196,17 +173,7 @@ void RunConnection(const ClientOptions& options, int64_t op_budget, Rng rng,
       if (expired) {
         break;
       }
-      const int64_t send_begin = NowNanos();
-      state.result.pace.arrivals += 1;
-      const int64_t delay = send_begin - arrival;
-      state.result.pace.queue_delay.Record(delay > 0 ? delay : 0);
-      if (delay > kDelayedThresholdNanos) {
-        state.result.pace.delayed += 1;
-        const auto backlog = static_cast<int64_t>(
-            static_cast<double>(delay) / 1e9 * worker_rate);
-        state.result.pace.backlog_peak =
-            std::max(state.result.pace.backlog_peak, backlog);
-      }
+      RecordArrivalDelay(state.result.pace, NowNanos() - arrival, schedule.rate());
       reference = arrival;  // sojourn time: scheduled arrival → response
     } else {
       reference = NowNanos();  // service time: send → response

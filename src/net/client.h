@@ -1,8 +1,8 @@
-// Load-generator client for sb7-serve: the remote counterpart of the
-// scenario engine's arrival models. Each connection runs its own thread
-// speaking the wire.h protocol; the arrival process is either closed-loop
-// (next request after the previous response — PR-3's implicit model) or
-// open-loop Poisson / bursty, reusing the driver's arrival math so a
+// Load-generator client for served runs (stmbench7 --connect): the remote
+// counterpart of the scenario engine's arrival models. Each connection runs
+// its own thread speaking the wire.h protocol; the arrival process is either
+// closed-loop (next request after the previous response) or open-loop
+// Poisson / bursty, paced by the driver's ArrivalSchedule so a
 // `--arrival poisson --rate R` client run is directly comparable to the
 // same in-process scenario phase. Open-loop latency is the full sojourn
 // time (scheduled arrival → response), so server-side queueing shows up in

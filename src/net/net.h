@@ -1,5 +1,5 @@
 // Hardened socket primitives shared by every network surface of the tree:
-// the sb7-serve operation front-end (src/net/server.*, src/net/client.*)
+// the served-run front-end and load client (src/net/server.*, src/net/client.*)
 // and the telemetry /metrics endpoint (src/telemetry/http.*).
 //
 // The layer exists because the first socket ingress (PR-8's metrics server)

@@ -115,9 +115,17 @@ struct OpServer::Session {
 
 OpServer::OpServer(const ServerOptions& options, IngressQueue* ingress,
                    uint16_t op_count)
-    : options_(options), ingress_(ingress), op_count_(op_count) {}
+    : options_(options), ingress_(ingress), op_count_(op_count) {
+  ingress_->SetCompletion([this](const IngressRequest& request, Status status,
+                                 int64_t server_nanos) {
+    Complete(request, status, server_nanos);
+  });
+}
 
-OpServer::~OpServer() { Stop(); }
+OpServer::~OpServer() {
+  Stop();
+  ingress_->SetCompletion(nullptr);
+}
 
 bool OpServer::Start(std::string* error) {
   ListenResult listen = ListenTcp(options_.port);

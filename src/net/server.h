@@ -1,13 +1,14 @@
-// sb7-serve front-end: an event loop (epoll on Linux, poll elsewhere) that
-// accepts TCP clients speaking the wire.h protocol, admits their operation
-// requests into a bounded IngressQueue, and writes responses back as the
-// BenchmarkRunner's workers complete them.
+// The front-end of a served run (stmbench7 --listen, sb7-bench wire cells):
+// an event loop (epoll on Linux, poll elsewhere) that accepts TCP clients
+// speaking the wire.h protocol, admits their operation requests into a
+// bounded IngressQueue, and writes responses back as the BenchmarkRunner's
+// workers complete them.
 //
 // Threading model: one event-loop thread owns accept + reads + admission;
-// worker threads (via BenchmarkRunner's on_ingress_complete hook) call
-// Complete() to write responses directly to the session socket. Writes and
-// the final close are serialized per-session by a mutex, so a worker can
-// never write into an fd the event loop just recycled.
+// worker threads answer through IngressQueue::Complete, which the server
+// routes to Complete() to write responses directly to the session socket.
+// Writes and the final close are serialized per-session by a mutex, so a
+// worker can never write into an fd the event loop just recycled.
 
 #ifndef STMBENCH7_SRC_NET_SERVER_H_
 #define STMBENCH7_SRC_NET_SERVER_H_
@@ -20,7 +21,7 @@
 #include <string>
 #include <thread>
 
-#include "src/net/ingress.h"
+#include "src/harness/ingress.h"
 #include "src/net/net.h"
 #include "src/net/wire.h"
 
@@ -43,9 +44,11 @@ struct ServerStats {
 
 class OpServer {
  public:
-  /// `ingress` must outlive the server. `op_count` is the size of the
-  /// operation registry, advertised in the HelloAck and used to bounce
-  /// out-of-range op indexes as kBadRequest before they reach a worker.
+  /// `ingress` must outlive the server; the server installs itself as the
+  /// queue's completion, so the runner draining it answers through
+  /// Complete(). `op_count` is the size of the operation registry,
+  /// advertised in the HelloAck and used to bounce out-of-range op indexes
+  /// as kBadRequest before they reach a worker.
   OpServer(const ServerOptions& options, IngressQueue* ingress,
            uint16_t op_count);
   ~OpServer();
@@ -64,8 +67,8 @@ class OpServer {
   void Stop();
 
   /// Writes the response for one admitted request. Thread-safe; called
-  /// from BenchmarkRunner workers. A write failure (or timeout) marks the
-  /// session dead; the event loop reaps it.
+  /// from BenchmarkRunner workers through the ingress queue. A write
+  /// failure (or timeout) marks the session dead; the event loop reaps it.
   void Complete(const IngressRequest& request, Status status,
                 int64_t server_nanos);
 

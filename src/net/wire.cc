@@ -164,18 +164,4 @@ uint8_t PeekType(const std::string& payload) {
   return payload.empty() ? 0 : static_cast<uint8_t>(payload[0]);
 }
 
-const char* StatusName(Status status) {
-  switch (status) {
-    case Status::kOk:
-      return "ok";
-    case Status::kOpFailed:
-      return "op_failed";
-    case Status::kRejected:
-      return "rejected";
-    case Status::kBadRequest:
-      return "bad_request";
-  }
-  return "unknown";
-}
-
 }  // namespace sb7::net

@@ -1,4 +1,4 @@
-// Wire format for the sb7-serve operation protocol.
+// Wire format for the operation protocol of served runs (stmbench7 --listen).
 //
 // Every message is a length-prefixed binary frame:
 //
@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "src/harness/ingress.h"
 
 namespace sb7::net {
 
@@ -35,13 +37,9 @@ enum class MsgType : uint8_t {
   kResponse = 4,  ///< server → client, outcome of one request
 };
 
-/// Outcome of an operation request.
-enum class Status : uint8_t {
-  kOk = 0,          ///< executed, committed
-  kOpFailed = 1,    ///< executed, operation reported failure
-  kRejected = 2,    ///< admission control: ingress queue full, not executed
-  kBadRequest = 3,  ///< malformed request (e.g. op index out of range)
-};
+/// Outcome of an operation request: the runner's ingress outcome, sent as
+/// one byte.
+using Status = IngressStatus;
 
 struct Hello {
   uint32_t magic = kWireMagic;
@@ -91,8 +89,6 @@ bool DecodeResponse(const std::string& payload, OpResponse* out);
 
 /// Type byte of a payload, or 0 if empty.
 uint8_t PeekType(const std::string& payload);
-
-const char* StatusName(Status status);
 
 }  // namespace sb7::net
 

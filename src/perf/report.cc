@@ -6,38 +6,11 @@
 #include <sstream>
 #include <vector>
 
+#include "src/common/json_string.h"
+#include "src/harness/report.h"
+
 namespace sb7::perf {
 namespace {
-
-std::string JsonString(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
 
 void WriteStringAxis(std::ostream& out, const char* name,
                      const std::vector<std::string>& values, bool last = false) {
@@ -46,23 +19,6 @@ void WriteStringAxis(std::ostream& out, const char* name,
     out << (i == 0 ? "" : ", ") << JsonString(values[i]);
   }
   out << "]" << (last ? "" : ",") << "\n";
-}
-
-void WriteStmBlock(std::ostream& out, const StmStats::View& stm, const char* indent) {
-  out << "{\n";
-  out << indent << "  \"starts\": " << stm.starts << ", \"commits\": " << stm.commits
-      << ", \"aborts\": " << stm.aborts << ",\n";
-  out << indent << "  \"reads\": " << stm.reads << ", \"writes\": " << stm.writes
-      << ", \"validation_steps\": " << stm.validation_steps
-      << ", \"bytes_cloned\": " << stm.bytes_cloned << ", \"kills\": " << stm.kills << ",\n";
-  out << indent << "  \"ro_starts\": " << stm.ro_starts
-      << ", \"ro_commits\": " << stm.ro_commits << ", \"ro_aborts\": " << stm.ro_aborts
-      << ",\n";
-  out << indent << "  \"abort_causes\": {\"read_validation\": " << stm.aborts_read_validation
-      << ", \"write_lock\": " << stm.aborts_write_lock << ", \"kill\": " << stm.aborts_kill
-      << ", \"snapshot_too_old\": " << stm.aborts_snapshot_too_old
-      << ", \"unknown\": " << stm.aborts_unknown << "}\n";
-  out << indent << "}";
 }
 
 void WriteConflictsBlock(std::ostream& out, const CellConflicts& conflicts,
@@ -169,7 +125,7 @@ void WriteSweepJson(std::ostream& out, const SweepResult& result) {
     }
     if (cell.has_stm) {
       out << ",\n      \"stm\": ";
-      WriteStmBlock(out, cell.stm, "      ");
+      WriteStmJson(out, cell.stm, "      ");
     }
     if (cell.traced) {
       out << ",\n      \"conflicts\": ";

@@ -10,9 +10,9 @@
 
 #include "src/core/invariants.h"
 #include "src/harness/driver.h"
+#include "src/harness/report.h"
 #include "src/harness/workload.h"
 #include "src/net/client.h"
-#include "src/net/ingress.h"
 #include "src/net/server.h"
 #include "src/perf/stats.h"
 
@@ -193,27 +193,16 @@ RepSample CollectRep(const SweepSpec& spec, const BenchmarkRunner& runner,
     sample.conflicts.dropped_events = result.trace_events_dropped;
     sample.conflicts.top_locations = result.conflicts.top_locations;
     const auto& ops = runner.registry().all();
-    auto slot_name = [&ops](int slot) -> std::string {
-      if (slot <= 0 || static_cast<size_t>(slot) > ops.size()) {
-        return "(none)";
-      }
-      return ops[slot - 1]->name();
-    };
     for (const trace::ConflictPair& pair : result.conflicts.top_pairs) {
       NamedConflictPair named;
-      named.victim = slot_name(pair.victim_slot);
-      named.writer = slot_name(pair.writer_slot);
+      named.victim = OpSlotName(ops, pair.victim_slot);
+      named.writer = OpSlotName(ops, pair.writer_slot);
       named.aborts = pair.aborts;
       sample.conflicts.top_pairs.push_back(std::move(named));
     }
   }
   return sample;
 }
-
-// Loopback ingress depth for wire cells: deep enough that a closed-loop
-// client (one outstanding request per connection) never sees backpressure,
-// small enough that a wedged runner surfaces as rejections, not buffering.
-constexpr size_t kWireQueueCapacity = 1024;
 
 // Runs one wire-cell repetition: the same BenchmarkRunner as an inproc
 // cell, but its workers drain a loopback OpServer's ingress queue while a
@@ -224,22 +213,11 @@ constexpr size_t kWireQueueCapacity = 1024;
 // Returns false with *error set when the plumbing itself failed.
 bool RunWireRep(const SweepSpec& spec, const SweepCell& cell, BenchConfig config,
                 bool validate, RepSample* sample, std::string* error) {
-  net::IngressQueue ingress(kWireQueueCapacity);
+  IngressQueue ingress(kIngressCapacity);
   config.ingress = &ingress;
-  // The server outlives every worker callback (runner_thread joins before
-  // it is destroyed); the indirection only bridges construction order.
-  net::OpServer* server_ptr = nullptr;
-  config.on_ingress_complete = [&server_ptr](const net::IngressRequest& request,
-                                             net::Status status, int64_t nanos) {
-    if (server_ptr != nullptr) {
-      server_ptr->Complete(request, status, nanos);
-    }
-  };
-
   BenchmarkRunner runner(config);
   net::OpServer server(net::ServerOptions{}, &ingress,
                        static_cast<uint16_t>(runner.registry().all().size()));
-  server_ptr = &server;
   std::string start_error;
   if (!server.Start(&start_error)) {
     *error = "loopback server failed to start: " + start_error;

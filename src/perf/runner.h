@@ -37,7 +37,7 @@ struct SweepCell {
   std::string cm;        ///< "default" or a contention manager name
   std::string mix;       ///< mix preset name
   /// "inproc" (workers sample operations locally) or "wire" (operations
-  /// arrive over loopback TCP via sb7-serve's OpServer + ingress queue).
+  /// arrive over loopback TCP via an OpServer and its ingress queue).
   std::string serve = "inproc";
   /// Redo-log fsync policy: "off" (no redo log), "group" or "always"
   /// (mvstm cells run with a scratch redo log and a group-commit sequencer).

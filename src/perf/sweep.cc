@@ -367,9 +367,10 @@ SweepSpec MakeSmoke() {
 
 SweepSpec MakeServe() {
   // In-process vs over-the-wire: the same tl2 cell executed by local worker
-  // threads and again with operations arriving through sb7-serve's loopback
-  // TCP front-end (closed-loop client, one connection per worker). The gap
-  // between the two columns is the serving overhead; --serve-factor gates it.
+  // threads and again with operations arriving through the loopback TCP
+  // front-end of a served run (closed-loop client, one connection per
+  // worker). The gap between the two columns is the serving overhead;
+  // --serve-factor gates it.
   SweepSpec spec;
   spec.name = "serve";
   spec.title = "Serve sweep: in-process vs over-the-wire (loopback TCP), tl2";

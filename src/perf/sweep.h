@@ -72,8 +72,8 @@ struct SweepSpec {
   std::vector<std::string> cms;        ///< "default" | contention manager names
   std::vector<std::string> mixes;      ///< mix preset names; default {"full"}
   /// "inproc" (workers generate operations in-process, the classic path) or
-  /// "wire" (operations arrive over loopback TCP through sb7-serve's
-  /// OpServer + ingress queue, driven by the closed-loop load client).
+  /// "wire" (operations arrive over loopback TCP through an OpServer and
+  /// its ingress queue, driven by the closed-loop load client).
   /// Default {"inproc"}.
   std::vector<std::string> serves;
   /// Redo-log fsync policy (docs/DURABILITY.md): "off" (no redo log at all —

@@ -1,12 +1,24 @@
 #include "src/scenario/scenario.h"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
 #include "src/common/text.h"
+#include "src/harness/metrics.h"
 
 namespace sb7 {
 namespace {
+
+// An operation counts as "delayed" only when it started more than one
+// histogram bucket (1 ms) after it was due.
+constexpr int64_t kDelayedThresholdNanos = 1'000'000;
+
+// Exponential inter-arrival gap at `rate` op/s: one uniform draw.
+int64_t PoissonGap(double rate, Rng& rng) {
+  return static_cast<int64_t>(-std::log1p(-rng.NextDouble()) * 1e9 / rate);
+}
 
 bool ParseOnOff(const std::string& text, bool& out) {
   if (text == "on" || text == "true" || text == "1") {
@@ -81,6 +93,48 @@ std::string_view ArrivalModelName(ArrivalModel model) {
       return "bursty";
   }
   return "closed";
+}
+
+bool ParseArrivalModel(std::string_view name, ArrivalModel* out) {
+  for (const ArrivalModel model :
+       {ArrivalModel::kClosed, ArrivalModel::kPoisson, ArrivalModel::kBursty}) {
+    if (name == ArrivalModelName(model)) {
+      *out = model;
+      return true;
+    }
+  }
+  return false;
+}
+
+void ArrivalSchedule::Start(ArrivalModel model, double rate, int burst_size,
+                            int64_t start_nanos, Rng& rng) {
+  model_ = model;
+  rate_ = rate;
+  burst_size_ = burst_size;
+  next_nanos_ = start_nanos;
+  if (model_ == ArrivalModel::kPoisson) {
+    next_nanos_ += PoissonGap(rate_, rng);
+  }
+}
+
+int64_t ArrivalSchedule::Next(Rng& rng) {
+  const int64_t arrival = next_nanos_;
+  if (model_ == ArrivalModel::kPoisson) {
+    next_nanos_ += PoissonGap(rate_, rng);
+  } else if (++count_ % burst_size_ == 0) {
+    next_nanos_ += static_cast<int64_t>(static_cast<double>(burst_size_) * 1e9 / rate_);
+  }
+  return arrival;
+}
+
+void RecordArrivalDelay(PaceMetrics& pace, int64_t delay, double rate) {
+  pace.arrivals += 1;
+  pace.queue_delay.Record(delay > 0 ? delay : 0);
+  if (delay > kDelayedThresholdNanos) {
+    pace.delayed += 1;
+    const auto backlog = static_cast<int64_t>(static_cast<double>(delay) / 1e9 * rate);
+    pace.backlog_peak = std::max(pace.backlog_peak, backlog);
+  }
 }
 
 double Scenario::TotalWeight() const {
@@ -308,13 +362,7 @@ ScenarioParseResult ParseScenarioSpec(std::istream& in, std::string_view default
       }
       phase.threads = static_cast<int>(int_value);
     } else if (key == "arrival") {
-      if (value == "closed") {
-        phase.arrival = ArrivalModel::kClosed;
-      } else if (value == "poisson") {
-        phase.arrival = ArrivalModel::kPoisson;
-      } else if (value == "bursty") {
-        phase.arrival = ArrivalModel::kBursty;
-      } else {
+      if (!ParseArrivalModel(value, &phase.arrival)) {
         return fail(line_number, "arrival must be closed, poisson or bursty");
       }
     } else if (key == "rate") {

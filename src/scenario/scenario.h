@@ -40,6 +40,8 @@
 
 namespace sb7 {
 
+struct PaceMetrics;
+
 /// How operations arrive at the workers within a phase: closed-loop (the
 /// paper's model — a worker issues its next operation as soon as the
 /// previous one finishes), or open-loop Poisson / bursty arrivals against a
@@ -47,6 +49,42 @@ namespace sb7 {
 enum class ArrivalModel { kClosed, kPoisson, kBursty };
 
 std::string_view ArrivalModelName(ArrivalModel model);
+/// Parses "closed" | "poisson" | "bursty"; false for anything else.
+bool ParseArrivalModel(std::string_view name, ArrivalModel* out);
+
+/// The open-loop arrival process of one worker, or of one load-client
+/// connection: Poisson or bursty arrivals at that worker's share of the
+/// target rate. The driver and the load client both pace with it, so an
+/// in-process open-loop phase and a `--connect --arrival` run draw their
+/// schedules the same way.
+class ArrivalSchedule {
+ public:
+  /// Opens the process at `start_nanos`, for `rate` op/s. A Poisson
+  /// process is staggered by one drawn gap, so workers opening together do
+  /// not fire in lockstep.
+  void Start(ArrivalModel model, double rate, int burst_size, int64_t start_nanos, Rng& rng);
+  /// True once Start() has run.
+  bool started() const { return next_nanos_ >= 0; }
+  /// Returns the next scheduled arrival and advances past it. A Poisson gap
+  /// takes exactly one uniform draw per arrival, which keeps fixed-seed
+  /// runs stream-deterministic; bursty arrivals come burst_size back to
+  /// back, spaced so the average still meets the rate.
+  int64_t Next(Rng& rng);
+  double rate() const { return rate_; }
+
+ private:
+  ArrivalModel model_ = ArrivalModel::kClosed;
+  double rate_ = 0.0;
+  int burst_size_ = 1;
+  int64_t next_nanos_ = -1;
+  int64_t count_ = 0;
+};
+
+/// Accounts one paced operation that started `delay` ns after it was due:
+/// its queue delay and, when it is more than 1 ms late (less is scheduling
+/// noise, not queueing), a delayed arrival and the backlog that lateness
+/// implies at `rate` op/s (0 = no estimate).
+void RecordArrivalDelay(PaceMetrics& pace, int64_t delay, double rate);
 
 /// One timed phase of a scenario. Unset optional fields inherit the
 /// run-level configuration.

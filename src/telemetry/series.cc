@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "src/common/diag.h"
+#include "src/common/json_string.h"
 #include "src/perf/json.h"
 
 namespace sb7::telemetry {
@@ -54,40 +55,6 @@ int64_t SeriesRing::dropped() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return dropped_;
 }
-
-namespace {
-
-std::string JsonString(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
 
 std::string SampleToJson(const Sample& sample) {
   std::ostringstream out;

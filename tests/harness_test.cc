@@ -174,6 +174,78 @@ TEST(CliTest, RejectsBadFuzzArguments) {
   EXPECT_TRUE(Parse({"--differential", "-g", "mvstm"}).error.has_value());
 }
 
+TEST(CliTest, ParsesServedRunModes) {
+  const CliResult listen = Parse({"--listen", "0", "-g", "tl2", "-t", "4"});
+  ASSERT_FALSE(listen.error.has_value()) << *listen.error;
+  EXPECT_EQ(listen.listen_port, 0);
+  EXPECT_FALSE(listen.connect.has_value());
+  EXPECT_EQ(listen.config.strategy, "tl2");
+  EXPECT_EQ(Parse({"--listen", "65535"}).listen_port, 65535);
+  for (const char* bad : {"-1", "65536", "http", ""}) {
+    EXPECT_TRUE(Parse({"--listen", bad}).error.has_value()) << bad;
+  }
+  EXPECT_TRUE(Parse({"--listen"}).error.has_value());
+
+  const CliResult connect = Parse({"--connect", "127.0.0.1:9287", "--arrival", "poisson",
+                                   "--rate", "2000", "--burst", "8", "-t", "4", "-w", "rw"});
+  ASSERT_FALSE(connect.error.has_value()) << *connect.error;
+  ASSERT_TRUE(connect.connect.has_value());
+  EXPECT_FALSE(connect.listen_port.has_value());
+  EXPECT_EQ(connect.connect->host, "127.0.0.1");
+  EXPECT_EQ(connect.connect->port, 9287);
+  EXPECT_EQ(connect.connect->arrival, ArrivalModel::kPoisson);
+  EXPECT_DOUBLE_EQ(connect.connect->rate, 2000.0);
+  EXPECT_EQ(connect.connect->burst, 8);
+  EXPECT_EQ(connect.config.threads, 4);
+  EXPECT_EQ(connect.config.workload, WorkloadType::kReadWrite);
+
+  // The client flags may precede --connect; unset ones keep their defaults.
+  const CliResult reordered = Parse({"--arrival", "bursty", "--connect", "host:1"});
+  ASSERT_FALSE(reordered.error.has_value()) << *reordered.error;
+  EXPECT_EQ(reordered.connect->arrival, ArrivalModel::kBursty);
+  EXPECT_DOUBLE_EQ(reordered.connect->rate, 1000.0);
+  EXPECT_EQ(reordered.connect->burst, 32);
+  for (const char* bad : {"9287", "host:", ":9287", "host:0", "host:65536", "host:port"}) {
+    EXPECT_TRUE(Parse({"--connect", bad}).error.has_value()) << bad;
+  }
+}
+
+TEST(CliTest, ServedRunModesExcludeEachOtherAndTheOracleModes) {
+  EXPECT_TRUE(Parse({"--listen", "0", "--connect", "host:1"}).error.has_value());
+  const std::vector<std::vector<const char*>> others = {
+      {"--differential"}, {"--fuzz", "1"}, {"--recover", "run.redo"}};
+  for (const auto& other : others) {
+    for (const std::vector<const char*>& mode :
+         {std::vector<const char*>{"--listen", "0"},
+          std::vector<const char*>{"--connect", "host:1"}}) {
+      std::vector<const char*> argv{"stmbench7"};
+      argv.insert(argv.end(), mode.begin(), mode.end());
+      argv.insert(argv.end(), other.begin(), other.end());
+      EXPECT_TRUE(ParseCommandLine(static_cast<int>(argv.size()), argv.data()).error.has_value())
+          << mode[0] << " with " << other[0];
+    }
+  }
+}
+
+TEST(CliTest, ClientFlagsNeedConnectAndConnectTakesNoStrategy) {
+  EXPECT_TRUE(Parse({"--arrival", "poisson"}).error.has_value());
+  EXPECT_TRUE(Parse({"--rate", "10"}).error.has_value());
+  EXPECT_TRUE(Parse({"--burst", "4"}).error.has_value());
+  EXPECT_TRUE(Parse({"--listen", "0", "--rate", "10"}).error.has_value());
+  EXPECT_TRUE(Parse({"--connect", "host:1", "--arrival", "bogus"}).error.has_value());
+  EXPECT_TRUE(Parse({"--connect", "host:1", "--rate", "0"}).error.has_value());
+  EXPECT_TRUE(Parse({"--connect", "host:1", "--burst", "0"}).error.has_value());
+  // The --listen side picks the strategy, as --differential picks them all.
+  EXPECT_TRUE(Parse({"--connect", "host:1", "-g", "tl2"}).error.has_value());
+}
+
+TEST(CliTest, ServedRunsKeepTheBenchmarkFlagChecks) {
+  EXPECT_TRUE(Parse({"--listen", "0", "-g", "bogus"}).error.has_value());
+  EXPECT_TRUE(Parse({"--listen", "0", "-s", "bogus"}).error.has_value());
+  EXPECT_TRUE(Parse({"--listen", "0", "--durability", "always"}).error.has_value());
+  EXPECT_TRUE(Parse({"--connect", "127.0.0.1:9287", "-w", "bogus"}).error.has_value());
+}
+
 TEST(CliTest, SeedsRoundTripTheFullUint64Range) {
   // Reproduce commands print seeds back as unsigned; both spellings of the
   // same seed must parse to the same value.

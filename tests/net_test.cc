@@ -30,8 +30,8 @@
 #include <vector>
 
 #include "src/harness/driver.h"
+#include "src/harness/ingress.h"
 #include "src/net/client.h"
-#include "src/net/ingress.h"
 #include "src/net/net.h"
 #include "src/net/server.h"
 #include "src/net/wire.h"
@@ -43,8 +43,6 @@ using net::AppendFrame;
 using net::FrameStatus;
 using net::Hello;
 using net::HelloAck;
-using net::IngressQueue;
-using net::IngressRequest;
 using net::MsgType;
 using net::OpRequest;
 using net::OpResponse;
@@ -475,7 +473,7 @@ TEST(OpServerTest, DropsSessionsThatSendOversizeFrames) {
 // -------------------------------------------------------------- end to end --
 
 TEST(NetEndToEndTest, LoopbackServeRunLosesNothing) {
-  net::IngressQueue ingress(256);
+  IngressQueue ingress(256);
   BenchConfig config;
   config.strategy = "coarse";
   config.scale = "tiny";
@@ -484,15 +482,9 @@ TEST(NetEndToEndTest, LoopbackServeRunLosesNothing) {
   config.seed = 99;
   config.ingress = &ingress;
 
-  OpServer* server_ptr = nullptr;
-  config.on_ingress_complete = [&server_ptr](const IngressRequest& request,
-                                             Status status, int64_t nanos) {
-    if (server_ptr != nullptr) server_ptr->Complete(request, status, nanos);
-  };
   BenchmarkRunner runner(config);
   OpServer server(ServerOptions{}, &ingress,
                   static_cast<uint16_t>(runner.registry().all().size()));
-  server_ptr = &server;
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 

@@ -11,7 +11,7 @@
 //    must agree),
 //  - live-vs-replay: a run that finishes cleanly fingerprints identically to
 //    the world recovered from its own log,
-//  - acked ⊆ durable: a loopback sb7-serve storm killed mid-run must not
+//  - acked ⊆ durable: a loopback served storm killed mid-run must not
 //    have acked any request whose commit group never reached the log.
 //
 // The fork-based tests come first in this file: gtest runs tests in
@@ -38,7 +38,6 @@
 #include "src/harness/driver.h"
 #include "src/mvstm/redo_log.h"
 #include "src/net/client.h"
-#include "src/net/ingress.h"
 #include "src/net/net.h"
 #include "src/net/server.h"
 #include "src/net/wire.h"
@@ -524,19 +523,13 @@ TEST(CrashRecoveryTest, ServeKilledMidStormNeverAcksUndurableRequests) {
   const pid_t pid = ::fork();
   if (pid == 0) {
     ::close(pipe_fds[0]);
-    net::IngressQueue ingress(256);
+    IngressQueue ingress(256);
     BenchConfig config = WriteStormConfig(path, 6001);
     config.threads = 2;
     config.ingress = &ingress;
-    net::OpServer* server_ptr = nullptr;
-    config.on_ingress_complete = [&server_ptr](const net::IngressRequest& request,
-                                               net::Status status, int64_t nanos) {
-      if (server_ptr != nullptr) server_ptr->Complete(request, status, nanos);
-    };
     BenchmarkRunner runner(config);
     net::OpServer server(net::ServerOptions{}, &ingress,
                          static_cast<uint16_t>(runner.registry().all().size()));
-    server_ptr = &server;
     std::string error;
     if (!server.Start(&error)) std::_Exit(3);
     const uint32_t port = static_cast<uint32_t>(server.port());
