@@ -53,8 +53,11 @@ class EbrDomain::ThreadState {
   EbrDomain* domain_;
   uint64_t domain_id_;
   int slot_;
-  std::vector<Retired> limbo_;
+  // Appended in epoch order: Retire tags the global epoch, and one thread's
+  // successive loads of it never decrease.
+  std::deque<Retired> limbo_;
   uint64_t quiesce_calls_ = 0;
+  bool online_ = false;
 };
 
 namespace {
@@ -79,11 +82,11 @@ EbrDomain& EbrDomain::Global() {
 }
 
 int EbrDomain::RegisterThread() {
-  const uint64_t now = global_epoch_.load(std::memory_order_acquire);
   for (int i = 0; i < kMaxThreads; ++i) {
     bool expected = false;
+    // A free slot announces kOffline (UnregisterThread restores it before
+    // releasing the slot), so the thread starts offline.
     if (slots_[i].in_use.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
-      slots_[i].local_epoch.store(now, std::memory_order_release);
       return i;
     }
   }
@@ -91,11 +94,12 @@ int EbrDomain::RegisterThread() {
   return -1;
 }
 
-void EbrDomain::UnregisterThread(int slot, std::vector<Retired>&& leftovers) {
+void EbrDomain::UnregisterThread(int slot, std::deque<Retired>&& leftovers) {
   {
     std::lock_guard<std::mutex> lock(orphan_mu_);
     orphans_.insert(orphans_.end(), leftovers.begin(), leftovers.end());
   }
+  slots_[slot].local_epoch.store(kOffline, std::memory_order_release);
   slots_[slot].in_use.store(false, std::memory_order_release);
 }
 
@@ -122,41 +126,77 @@ void EbrDomain::Retire(void* ptr, void (*deleter)(void*)) {
 
 void EbrDomain::Quiesce() {
   ThreadState& state = LocalState();
-  slots_[state.slot_].local_epoch.store(global_epoch_.load(std::memory_order_acquire),
-                                        std::memory_order_release);
+  std::atomic<uint64_t>& announced = slots_[state.slot_].local_epoch;
+  const uint64_t now = global_epoch_.load(std::memory_order_acquire);
+  if (state.online_) {
+    announced.store(now, std::memory_order_release);
+  } else {
+    // Coming online. The fence pairs with the one in MinAnnouncedEpoch: a
+    // reclaimer whose scan misses this announcement fenced first, so every
+    // unlink behind the objects it frees is visible to this thread's reads.
+    announced.store(now, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    state.online_ = true;
+  }
   if (++state.quiesce_calls_ % kQuiesceReclaimPeriod == 0 || !state.limbo_.empty()) {
     TryReclaim();
   }
 }
 
+void EbrDomain::Offline() {
+  ThreadState& state = LocalState();
+  // Release: this thread's reads of shared objects happen before a reclaimer
+  // that sees it offline frees them.
+  slots_[state.slot_].local_epoch.store(kOffline, std::memory_order_release);
+  state.online_ = false;
+}
+
 uint64_t EbrDomain::MinAnnouncedEpoch() const {
   uint64_t min_epoch = global_epoch_.load(std::memory_order_acquire);
+  // Pairs with the fence of a thread coming online (Quiesce).
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   for (const Slot& slot : slots_) {
-    if (slot.in_use.load(std::memory_order_acquire)) {
-      min_epoch = std::min(min_epoch, slot.local_epoch.load(std::memory_order_acquire));
-    }
+    min_epoch = std::min(min_epoch, slot.local_epoch.load(std::memory_order_acquire));
   }
   return min_epoch;
 }
 
+void EbrDomain::FreePrefix(std::deque<Retired>& limbo, uint64_t safe_before) {
+  int64_t freed = 0;
+  while (!limbo.empty() && limbo.front().epoch < safe_before) {
+    const Retired entry = limbo.front();
+    limbo.pop_front();
+    entry.deleter(entry.ptr);
+    ++freed;
+  }
+  if (freed != 0) {
+    pending_.fetch_sub(freed, std::memory_order_relaxed);
+  }
+}
+
 void EbrDomain::FreeSafe(std::vector<Retired>& limbo, uint64_t safe_before) {
+  int64_t freed = 0;
   auto writer = limbo.begin();
   for (auto& entry : limbo) {
     if (entry.epoch < safe_before) {
       entry.deleter(entry.ptr);
-      pending_.fetch_sub(1, std::memory_order_relaxed);
+      ++freed;
     } else {
       *writer++ = entry;
     }
   }
   limbo.erase(writer, limbo.end());
+  if (freed != 0) {
+    pending_.fetch_sub(freed, std::memory_order_relaxed);
+  }
 }
 
 void EbrDomain::TryReclaim() {
   const uint64_t min_epoch = MinAnnouncedEpoch();
   const uint64_t global = global_epoch_.load(std::memory_order_acquire);
   if (min_epoch == global) {
-    // Every thread has seen the current epoch; it is safe to open a new one.
+    // Every online thread has seen the current epoch; it is safe to open a
+    // new one.
     uint64_t expected = global;
     global_epoch_.compare_exchange_strong(expected, global + 1, std::memory_order_acq_rel);
   }
@@ -165,7 +205,7 @@ void EbrDomain::TryReclaim() {
     return;
   }
   const uint64_t safe_before = min_epoch - 1;
-  FreeSafe(LocalState().limbo_, safe_before);
+  FreePrefix(LocalState().limbo_, safe_before);
   if (orphan_mu_.try_lock()) {
     FreeSafe(orphans_, safe_before);
     orphan_mu_.unlock();
@@ -176,9 +216,9 @@ int64_t EbrDomain::DrainAll() {
   int64_t freed = 0;
   const uint64_t everything = ~uint64_t{0};
   {
-    std::vector<Retired>& limbo = LocalState().limbo_;
+    std::deque<Retired>& limbo = LocalState().limbo_;
     freed += static_cast<int64_t>(limbo.size());
-    FreeSafe(limbo, everything);
+    FreePrefix(limbo, everything);
   }
   {
     std::lock_guard<std::mutex> lock(orphan_mu_);

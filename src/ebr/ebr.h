@@ -6,26 +6,38 @@
 // modification operation has already unlinked. The original Java benchmark
 // leaned on the JVM's garbage collector for this "type-stable memory"
 // guarantee; here the same guarantee comes from deferring frees until every
-// registered thread has passed through a quiescent state (a point outside any
+// online thread has passed through a quiescent state (a point outside any
 // transaction / critical section).
 //
 // Usage contract:
-//   * every worker thread registers once (RAII ThreadRegistration, or lazily
-//     through the thread_local accessor);
-//   * threads announce quiescence between benchmark operations by calling
-//     EbrDomain::Quiesce();
+//   * a thread registers on its first call into the domain and starts
+//     offline: it holds no references and does not hold back the epoch;
+//   * Quiesce() brings the thread online and, while online, announces that
+//     it holds no references into shared structures. A thread may follow
+//     shared pointers only while online, and only up to its next Quiesce();
+//   * a thread that stops touching shared structures — before it blocks,
+//     waits for other threads or idles — calls Offline(). An online thread
+//     that never announces again pins the epoch, and nothing retired after
+//     its last announcement is freed;
+//   * Retire(), TryReclaim() and DrainAll() also work offline, e.g. on the
+//     thread that builds the structure before any reader starts;
 //   * deleters run on whichever thread triggers reclamation; they must not
 //     touch shared state.
 //
 // The implementation is the classic three-epoch scheme folded into QSBR: a
-// global epoch advances once every registered thread has observed it; retired
-// objects tagged with epoch E are freed once the global epoch reaches E + 2.
+// global epoch advances once every online thread has observed it; retired
+// objects tagged with epoch E are freed once every online thread has
+// announced E + 2. A thread's limbo is in epoch order, so a reclamation pass
+// scans the kMaxThreads slots once and frees the safe prefix of the caller's
+// limbo: its cost is the objects it frees plus the slot scan, not the length
+// of the limbo.
 
 #ifndef STMBENCH7_SRC_EBR_EBR_H_
 #define STMBENCH7_SRC_EBR_EBR_H_
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <type_traits>
 #include <vector>
@@ -45,9 +57,10 @@ class EbrDomain {
   // Process-wide domain used by the benchmark structure.
   static EbrDomain& Global();
 
-  // Defers destruction of `ptr` until it is provably unreachable. May be
-  // called from unregistered threads (the object is then routed through the
-  // orphan list and freed on the next successful reclamation pass).
+  // Defers destruction of `ptr` until it is provably unreachable. The caller
+  // has already unlinked it. May be called offline (see the contract above);
+  // the objects of a thread that exits are handed to the orphan list and
+  // freed by a later reclamation pass of any thread.
   void Retire(void* ptr, void (*deleter)(void*));
 
   template <typename T>
@@ -57,12 +70,17 @@ class EbrDomain {
   }
 
   // Announces that the calling thread holds no references into shared
-  // structures. Cheap; called between operations.
+  // structures and brings it online. Cheap; called between operations.
   void Quiesce();
 
-  // Attempts to advance the global epoch and free everything that became
-  // safe. Called internally from Quiesce()/Retire(); exposed for tests and
-  // for draining at shutdown.
+  // Takes the calling thread offline: it holds no references into shared
+  // structures until its next Quiesce(), and does not hold back the epoch
+  // meanwhile.
+  void Offline();
+
+  // Attempts to advance the global epoch and free the caller's objects that
+  // became safe. Called internally from Quiesce()/Retire(); exposed for tests
+  // and for draining at shutdown.
   void TryReclaim();
 
   // Frees every retired object unconditionally. Only safe when the caller
@@ -76,6 +94,11 @@ class EbrDomain {
   uint64_t global_epoch() const { return global_epoch_.load(std::memory_order_acquire); }
 
  private:
+  // Announcement of a slot whose thread holds no references: a free slot, a
+  // thread that has not quiesced since it registered, or one that went
+  // Offline(). Larger than any epoch, so the minimum skips it.
+  static constexpr uint64_t kOffline = ~uint64_t{0};
+
   struct Retired {
     void* ptr;
     void (*deleter)(void*);
@@ -84,23 +107,28 @@ class EbrDomain {
 
   struct Slot {
     std::atomic<bool> in_use{false};
-    // Last global epoch this thread has announced. kOffline when the thread
-    // is registered but has never quiesced yet (treated as current).
-    std::atomic<uint64_t> local_epoch{0};
+    // Last global epoch this thread announced, or kOffline.
+    std::atomic<uint64_t> local_epoch{kOffline};
   };
 
   class ThreadState;
   friend class ThreadState;
 
-  // Registers the calling thread and returns its slot index.
+  // Claims a free slot for the calling thread and returns its index. The
+  // slot starts offline.
   int RegisterThread();
-  void UnregisterThread(int slot, std::vector<Retired>&& leftovers);
+  void UnregisterThread(int slot, std::deque<Retired>&& leftovers);
 
   ThreadState& LocalState();
 
-  // Smallest epoch announced by any registered thread.
+  // Smallest epoch announced by any online thread (the global epoch when no
+  // thread is online).
   uint64_t MinAnnouncedEpoch() const;
 
+  // Frees the entries retired before `safe_before`. FreePrefix relies on
+  // `limbo` being in epoch order and stops at the first entry that is not
+  // safe; FreeSafe passes over the whole (unordered) list.
+  void FreePrefix(std::deque<Retired>& limbo, uint64_t safe_before);
   void FreeSafe(std::vector<Retired>& limbo, uint64_t safe_before);
 
   std::atomic<uint64_t> global_epoch_{2};
@@ -110,7 +138,8 @@ class EbrDomain {
   uint64_t id_;
   Slot slots_[kMaxThreads];
 
-  // Objects inherited from exited threads; protected by orphan_mu_.
+  // Objects inherited from exited threads, concatenated (so not in epoch
+  // order); protected by orphan_mu_.
   mutable std::mutex orphan_mu_;
   std::vector<Retired> orphans_;
 

@@ -251,7 +251,7 @@ void BenchmarkRunner::WorkerLoop(int worker_index, Rng rng,
   // at its scheduled arrival).
   std::vector<IngressRequest> work;
 
-  // Register with the EBR domain before the first operation: a worker must
+  // Come online in the EBR domain before the first operation: a worker must
   // be visible to reclamation before it can chase optimistic pointers.
   EbrDomain::Global().Quiesce();
 
@@ -452,6 +452,10 @@ BenchResult BenchmarkRunner::Run() {
         WorkerLoop(t, rng, per_thread[t], per_thread_pace[t]);
       });
     }
+    // This thread reads nothing shared until the workers are done. Left
+    // online (by an earlier one-worker run, or by the Quiesce that ends every
+    // run), its stale announcement would pin the epoch for this whole run.
+    EbrDomain::Global().Offline();
     for (std::thread& worker : workers) {
       worker.join();
     }

@@ -22,8 +22,8 @@ void MvTx::SetReadOnly(bool read_only) {
 void MvTx::BeginAttempt() {
   read_only_ = hint_read_only_ && !demoted_;
   if (read_only_) {
-    // Passing through a quiescent state here (a) lazily registers the thread
-    // with the EBR domain and (b) is the last quiescence until the
+    // Passing through a quiescent state here (a) brings the thread online
+    // in the EBR domain and (b) is the last quiescence until the
     // transaction ends, so every version node retired from now on survives
     // until this snapshot read is over. Must precede the clock read: the
     // grace-period argument in version_chain.h needs start_ts_ >= the commit

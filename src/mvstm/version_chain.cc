@@ -33,7 +33,7 @@ void VersionChain::Publish(TxFieldBase& field, uint64_t value, uint64_t commit_t
   field.StoreMvHistory(node, std::memory_order_release);
   field.StoreRaw(value, std::memory_order_release);
   // The displaced node stays reachable (node->next) for the read-only
-  // transactions that still need it; EBR frees it only once every registered
+  // transactions that still need it; EBR frees it only once every online
   // thread has quiesced, i.e. once those transactions have finished. Later
   // transactions pin start_ts >= commit_ts and stop their walk at `node`.
   EbrDomain::Global().RetireObject(old_head);

@@ -65,8 +65,8 @@ class VersionChain {
   // walks the version list. Never aborts; may briefly wait out a rival
   // commit's publish window when the stripe is locked (an in-flight commit
   // may carry a timestamp inside this snapshot). The calling thread must be
-  // inside an EBR grace period (registered and not quiescing until the
-  // enclosing transaction finishes).
+  // inside an EBR grace period (online and not quiescing until the enclosing
+  // transaction finishes).
   static uint64_t ReadAtSnapshot(const TxFieldBase& field, uint64_t snapshot_ts);
 
 };

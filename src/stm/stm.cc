@@ -23,7 +23,7 @@ std::atomic<uint64_t> g_stm_instance_counter{1};
 // ASTM contention managers follow unit.astm_owner to read the enemy's status
 // and priority — so a thread exiting must not free its cached transactions
 // outright (the classic descriptor use-after-free). Instead they are retired
-// through EBR, which defers the free until every registered thread has passed
+// through EBR, which defers the free until every online thread has passed
 // a quiescent state and thus dropped any owner pointer it was chasing.
 struct TxCacheEntry {
   uint64_t instance_id = 0;
@@ -86,7 +86,7 @@ void Backoff::Pause(int attempt) {
 Stm::Stm() : instance_id_(g_stm_instance_counter.fetch_add(1, std::memory_order_relaxed)) {}
 
 TxImplBase& Stm::LocalTx() {
-  // First transactional access on this thread: register with the EBR domain
+  // First transactional access on this thread: go online in the EBR domain
   // (a quiescent point — no shared references are held yet) so reclamation
   // accounts for this thread from its very first operation. Evaluated before
   // tls_tx_cache is first touched: thread-locals are destroyed in reverse

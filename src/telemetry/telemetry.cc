@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/common/timing.h"
+#include "src/ebr/ebr.h"
 
 namespace sb7::telemetry {
 
@@ -205,6 +206,14 @@ void Telemetry::RegisterBuiltinMetrics() {
                        return static_cast<double>(
                            phase_index_.load(std::memory_order_acquire));
                      });
+  // A flat epoch under a climbing pending count is an online thread that
+  // stopped announcing and pins reclamation.
+  registry_.AddGauge("sb7_ebr_pending", "Objects retired to EBR and not yet freed", []() {
+    return static_cast<double>(EbrDomain::Global().PendingCount());
+  });
+  registry_.AddGauge("sb7_ebr_epoch", "EBR global epoch", []() {
+    return static_cast<double>(EbrDomain::Global().global_epoch());
+  });
   registry_.AddProvider([this](std::vector<MetricPoint>& out) {
     const TtcHistogram snapshot = latency_.Snapshot();
     const char* name = "sb7_latency_ms";

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "src/core/invariants.h"
+#include "src/ebr/ebr.h"
 #include "src/harness/cli.h"
 #include "src/harness/report.h"
 
@@ -327,6 +328,30 @@ TEST(IntegrationTest2, MaxOpsCapIsRespected) {
   const BenchResult result = runner.Run();
   EXPECT_LE(result.total_started, 100 + config.threads);  // fetch_add slack
   EXPECT_GE(result.total_started, 100);
+}
+
+// Every run leaves its driving thread online: a one-worker run works on it,
+// and every run ends with a Quiesce. A later multi-worker run in the same
+// process must still reclaim while its workers retire.
+TEST(IntegrationTest2, MultiWorkerRunAfterAOneWorkerRunStillReclaims) {
+  BenchConfig config;
+  config.strategy = "tl2";
+  config.scale = "small";
+  config.workload = WorkloadType::kWriteDominated;
+  // A long traversal near the end of a run legitimately leaves up to ~140k
+  // objects pending.
+  config.long_traversals = false;
+  config.length_seconds = 3600.0;
+  config.max_operations = 4000;
+  config.threads = 1;
+  BenchmarkRunner(config).Run();
+
+  config.threads = 2;
+  BenchmarkRunner runner(config);
+  const uint64_t before = EbrDomain::Global().global_epoch();
+  runner.Run();
+  EXPECT_GT(EbrDomain::Global().global_epoch() - before, 2u);
+  EXPECT_LT(EbrDomain::Global().PendingCount(), 2000);
 }
 
 // --- report formatting ---

@@ -470,6 +470,8 @@ TEST(MetricsEndpointTest, ServesMetricsSeriesAnd404) {
   EXPECT_NE(metrics.find("sb7_ops_completed_total 25"), std::string::npos);
   EXPECT_NE(metrics.find("# TYPE sb7_ops_completed_total counter"), std::string::npos);
   EXPECT_NE(metrics.find("backend=\"tl2\""), std::string::npos);
+  EXPECT_NE(metrics.find("# TYPE sb7_ebr_pending gauge"), std::string::npos);
+  EXPECT_NE(metrics.find("# TYPE sb7_ebr_epoch gauge"), std::string::npos);
 
   const std::string series_response = HttpGet(port, "/series");
   EXPECT_NE(series_response.find("200 OK"), std::string::npos);
