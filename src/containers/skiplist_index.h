@@ -15,12 +15,15 @@
 // Deliberately avoided: a centralized size field (it would serialize every
 // writer on one word). Size() walks the bottom level and is O(n); it is used
 // by tests and reports only, never by benchmark operations.
+//
+// A node is one heap block: its `height` links are laid out behind it in the
+// same allocation, so an insert allocates once and a retired node frees once.
 
 #ifndef STMBENCH7_SRC_CONTAINERS_SKIPLIST_INDEX_H_
 #define STMBENCH7_SRC_CONTAINERS_SKIPLIST_INDEX_H_
 
-#include <deque>
 #include <functional>
+#include <new>
 
 #include "src/common/rng.h"
 #include "src/containers/index.h"
@@ -32,13 +35,13 @@ namespace sb7 {
 template <typename K, typename V>
 class SkipListIndex : public Index<K, V> {
  public:
-  SkipListIndex() : head_(new Node(K{}, V{}, kMaxHeight)) {}
+  SkipListIndex() : head_(Node::Make(K{}, V{}, kMaxHeight)) {}
 
   ~SkipListIndex() override {
     Node* node = head_;
     while (node != nullptr) {
       // raw-ok: destructor runs after the last transaction.
-      Node* next = internal::DecodeWord<Node*>(node->next[0].LoadRaw());
+      Node* next = internal::DecodeWord<Node*>(node->next(0).LoadRaw());
       delete node;
       node = next;
     }
@@ -60,18 +63,20 @@ class SkipListIndex : public Index<K, V> {
       return false;
     }
     const int height = HeightFor(key);
-    auto* fresh = new Node(key, value, height);
+    Node* fresh = Node::Make(key, value, height);
+    // Registered before the first transactional access: the reads and writes
+    // below may abort the attempt, and the node is not yet shared.
+    if (Transaction* tx = CurrentTx()) {
+      tx->OnAbort([fresh] { delete fresh; });
+    }
     for (int level = 0; level < height; ++level) {
       // raw-ok: the new node is thread-private until the predecessor links
       // below are written, so its own links are seeded directly.
-      fresh->next[level].StoreRaw(
-          internal::EncodeWord<Node*>(preds[level]->next[level].Get()));
+      fresh->next(level).StoreRaw(
+          internal::EncodeWord<Node*>(preds[level]->next(level).Get()));
     }
     for (int level = 0; level < height; ++level) {
-      preds[level]->next[level].Set(fresh);
-    }
-    if (Transaction* tx = CurrentTx()) {
-      tx->OnAbort([fresh] { delete fresh; });
+      preds[level]->next(level).Set(fresh);
     }
     return true;
   }
@@ -87,8 +92,8 @@ class SkipListIndex : public Index<K, V> {
       // The predecessor at this level might not point at `node` (taller
       // predecessors can skip it only if heights disagree — they cannot for
       // the matched key, but guard for robustness).
-      if (preds[level]->next[level].Get() == node) {
-        preds[level]->next[level].Set(node->next[level].Get());
+      if (preds[level]->next(level).Get() == node) {
+        preds[level]->next(level).Set(node->next(level).Get());
       }
     }
     if (Transaction* tx = CurrentTx()) {
@@ -106,26 +111,26 @@ class SkipListIndex : public Index<K, V> {
       if (!fn(node->key, node->value.Get())) {
         return;
       }
-      node = node->next[0].Get();
+      node = node->next(0).Get();
     }
   }
 
   void ForEach(const std::function<bool(const K&, const V&)>& fn) const override {
-    Node* node = head_->next[0].Get();
+    Node* node = head_->next(0).Get();
     while (node != nullptr) {
       if (!fn(node->key, node->value.Get())) {
         return;
       }
-      node = node->next[0].Get();
+      node = node->next(0).Get();
     }
   }
 
   int64_t Size() const override {
     int64_t n = 0;
-    Node* node = head_->next[0].Get();
+    Node* node = head_->next(0).Get();
     while (node != nullptr) {
       ++n;
-      node = node->next[0].Get();
+      node = node->next(0).Get();
     }
     return n;
   }
@@ -133,17 +138,47 @@ class SkipListIndex : public Index<K, V> {
  private:
   static constexpr int kMaxHeight = 16;
 
+  struct Node;
+  using Link = TxField<Node*>;
+
+  // The links live in the same block, right behind the node. Only Make
+  // creates nodes; `delete node` (and EBR's RetireObject) runs ~Node, which
+  // destroys the links, and the class operator delete frees the block.
   struct Node : TmObject {
-    Node(const K& node_key, const V& node_value, int node_height)
-        : key(node_key), value(unit(), node_value) {
-      for (int i = 0; i < node_height; ++i) {
-        next.emplace_back(unit(), nullptr);
+    static Node* Make(const K& node_key, const V& node_value, int node_height) {
+      void* block =
+          ::operator new(sizeof(Node) + static_cast<size_t>(node_height) * sizeof(Link));
+      return new (block) Node(node_key, node_value, node_height);
+    }
+    static void operator delete(void* block) { ::operator delete(block); }
+
+    ~Node() override {
+      for (int i = height_ - 1; i >= 0; --i) {
+        next(i).~Link();
       }
     }
+
+    Link& next(int level) { return links()[level]; }
+    int height() const { return height_; }
+
     const K key;  // immutable: safe to compare without transactional reads
     TxField<V> value;
-    std::deque<TxField<Node*>> next;
-    int height() const { return static_cast<int>(next.size()); }
+
+   private:
+    // sizeof(Node) is a multiple of alignof(Node) >= alignof(TmObject).
+    static_assert(alignof(Link) <= alignof(TmObject),
+                  "links must be aligned when laid out behind the node");
+
+    Node(const K& node_key, const V& node_value, int node_height)
+        : key(node_key), value(unit(), node_value), height_(node_height) {
+      for (int i = 0; i < node_height; ++i) {
+        new (&links()[i]) Link(unit(), nullptr);
+      }
+    }
+
+    Link* links() { return reinterpret_cast<Link*>(this + 1); }
+
+    const int height_;
   };
 
   static int HeightFor(const K& key) {
@@ -162,10 +197,10 @@ class SkipListIndex : public Index<K, V> {
   Node* FindGreaterOrEqual(const K& key, Node** preds) const {
     Node* pred = head_;
     for (int level = kMaxHeight - 1; level >= 0; --level) {
-      Node* next = pred->next[level].Get();
+      Node* next = pred->next(level).Get();
       while (next != nullptr && next->key < key) {
         pred = next;
-        next = pred->next[level].Get();
+        next = pred->next(level).Get();
       }
       if (preds != nullptr) {
         preds[level] = pred;

@@ -96,10 +96,14 @@ class SnapshotIndex : public Index<K, V>, public TmObject {
   }
 
   void Publish(const Map* old_map, Map* fresh) {
-    snapshot_.Set(fresh);
-    if (Transaction* tx = CurrentTx()) {
-      tx->OnCommit([old_map] { EbrDomain::Global().RetireObject(old_map); });
+    Transaction* tx = CurrentTx();
+    // Registered before Set, which may abort the attempt (tinystm, astm).
+    if (tx != nullptr) {
       tx->OnAbort([fresh] { delete fresh; });
+    }
+    snapshot_.Set(fresh);
+    if (tx != nullptr) {
+      tx->OnCommit([old_map] { EbrDomain::Global().RetireObject(old_map); });
     } else {
       EbrDomain::Global().RetireObject(old_map);
     }

@@ -156,6 +156,11 @@ class TxVector : public TmObject {
 
   Chunk* Grow(Chunk* old_chunk, int64_t size) {
     auto* fresh = new Chunk(unit(), 0);
+    Transaction* tx = CurrentTx();
+    // Registered before the seeding reads, which may abort the attempt.
+    if (tx != nullptr) {
+      tx->OnAbort([fresh] { delete fresh; });
+    }
     // Seed the new chunk with transactionally read values; the chunk itself
     // is thread-private until chunk_ is written below.
     for (int64_t i = 0; i < size; ++i) {
@@ -166,9 +171,8 @@ class TxVector : public TmObject {
       fresh->slots.emplace_back(fresh->unit(), T{});
     }
     chunk_.Set(fresh);
-    if (Transaction* tx = CurrentTx()) {
+    if (tx != nullptr) {
       tx->OnCommit([old_chunk] { EbrDomain::Global().RetireObject(old_chunk); });
-      tx->OnAbort([fresh] { delete fresh; });
     } else {
       EbrDomain::Global().RetireObject(old_chunk);
     }

@@ -45,6 +45,14 @@ CompositePart* CreateCompositePart(DataHolder& dh, Rng& rng) {
   auto* document = new Document(part_id, DataHolder::DocumentTitleFor(part_id),
                                 BuildDocumentText(part_id, params.document_size));
   auto* part = new CompositePart(part_id, RandomDate(params, rng), document);
+  // If the enclosing transaction aborts, the private graph never became
+  // shared and is freed outright. Registered before the first transactional
+  // access below (IdPool::Allocate is one), so an attempt that aborts midway
+  // frees what it built so far: the part, its document and every atomic
+  // part and connection already linked to it.
+  if (Transaction* tx = CurrentTx()) {
+    tx->OnAbort([part] { RetireCompositePartDeep(part); });
+  }
   document->set_part(part);
 
   // Private graph construction: parts and connections are wired directly and
@@ -83,12 +91,6 @@ CompositePart* CreateCompositePart(DataHolder& dh, Rng& rng) {
   for (AtomicPart* atom : atoms) {
     dh.atomic_part_id_index().Insert(atom->id(), atom);
     dh.atomic_part_date_index().Insert(MakeDateKey(atom->build_date(), atom->id()), atom);
-  }
-
-  // If the enclosing transaction aborts, the private graph never became
-  // shared and is freed outright.
-  if (Transaction* tx = CurrentTx()) {
-    tx->OnAbort([part] { RetireCompositePartDeep(part); });
   }
   return part;
 }
@@ -133,9 +135,9 @@ BaseAssembly* CreateBaseAssembly(DataHolder& dh, ComplexAssembly* parent, Rng& r
   const int64_t id = dh.base_assembly_ids().Allocate();
   SB7_CHECK(id != 0);
   auto* assembly = new BaseAssembly(id, RandomDate(dh.params(), rng), parent, parent->module());
+  RetireOnAbort(assembly);
   parent->sub_assemblies().Add(assembly);
   dh.base_assembly_id_index().Insert(id, assembly);
-  RetireOnAbort(assembly);
   return assembly;
 }
 
@@ -181,9 +183,9 @@ Assembly* CreateAssemblySubtree(DataHolder& dh, ComplexAssembly* parent, int roo
   SB7_CHECK(id != 0);
   auto* assembly =
       new ComplexAssembly(id, RandomDate(dh.params(), rng), root_level, parent, parent->module());
+  RetireOnAbort(assembly);
   parent->sub_assemblies().Add(assembly);
   dh.complex_assembly_id_index().Insert(id, assembly);
-  RetireOnAbort(assembly);
   for (int i = 0; i < dh.params().assembly_fanout; ++i) {
     CreateAssemblySubtree(dh, assembly, root_level - 1, rng);
   }

@@ -27,9 +27,9 @@ void PrintConflictSummary(std::ostream& out, const trace::ConflictSummary& confl
                           const std::vector<std::unique_ptr<Operation>>& ops,
                           const char* indent) {
   out << indent << "conflicts: " << conflicts.attributed_aborts << " of "
-      << conflicts.total_aborts << " aborts attributed to a stripe\n";
+      << conflicts.total_aborts << " aborts attributed to a location\n";
   for (const trace::ConflictHotLocation& location : conflicts.top_locations) {
-    out << indent << "  stripe 0x" << std::hex << location.key << std::dec << ": "
+    out << indent << "  location 0x" << std::hex << location.key << std::dec << ": "
         << location.aborts << " aborts\n";
   }
   for (const trace::ConflictPair& pair : conflicts.top_pairs) {

@@ -341,6 +341,43 @@ Litmus MakeStmIncrementPair(std::string_view backend) {
   return litmus;
 }
 
+// Write skew: each transaction reads both cells and, seeing them both 0,
+// sets its own. A serializable run lets at most one of them write; an STM
+// that validates reads by version alone (astm before its commit-time owner
+// check) lets both commit when each owns the cell the other read.
+Litmus MakeStmWriteSkew(std::string_view backend) {
+  auto cells = std::make_shared<StmCells>(backend);
+  Litmus litmus;
+  litmus.name = "stm-write-skew-" + std::string(backend);
+  litmus.summary = "read {x, y}, set your own cell when both are 0: x + y <= 1";
+  litmus.expect_violation = false;
+  litmus.setup = [cells] { StmSetup(cells); };
+  const auto claim = [cells](McCell* own) {
+    return [cells, own] {
+      cells->stm->RunAtomically([&](Transaction&) {
+        if (cells->x.value.Get() + cells->y.value.Get() == 0) {
+          own->value.Set(1);
+        }
+      });
+    };
+  };
+  litmus.bodies = {claim(&cells->x), claim(&cells->y)};
+  litmus.check = [cells]() -> std::string {
+    if (std::string failure = OpacityFailure(*cells); !failure.empty()) {
+      return failure;
+    }
+    const int64_t x = cells->x.value.Get();
+    const int64_t y = cells->y.value.Get();
+    if (x + y > 1) {
+      std::ostringstream out;
+      out << "write skew: x == " << x << ", y == " << y << ", want x + y <= 1";
+      return out.str();
+    }
+    return std::string();
+  };
+  return litmus;
+}
+
 // --- group-commit litmus: the durability protocol under the explorer -------
 
 // mvstm with the group-commit sequencer attached, logging to an in-memory
@@ -488,6 +525,7 @@ std::vector<Litmus> BuildAll() {
     all.push_back(MakeStmLostUpdate(backend));
     all.push_back(MakeStmSnapshot(backend));
     all.push_back(MakeStmIncrementPair(backend));
+    all.push_back(MakeStmWriteSkew(backend));
   }
   all.push_back(MakeGroupCommitPair());
   all.push_back(MakeGroupCommitSnapshot());

@@ -112,8 +112,8 @@ class McScheduler {
   /// Runs the remaining threads round-robin (fair, deterministic) until all
   /// finish. Used to drain an execution past the step budget or a
   /// sleep-set-blocked state — executions are never abandoned mid-run, as
-  /// unwinding through backend code would leave stripe locks held in the
-  /// process-global lock table. Returns the number of extra steps taken;
+  /// unwinding through backend code would leave field locks held on cells
+  /// that outlive the execution. Returns the number of extra steps taken;
   /// CHECK-fails if `hard_cap` steps do not finish the program (a litmus
   /// that cannot terminate under fair scheduling is a bug in the litmus).
   uint64_t FreeRun(uint64_t hard_cap);

@@ -3,9 +3,10 @@
 /// explorer (src/mc/, binary `sb7-mc`).
 ///
 /// `sp::Atomic<T>` is a drop-in stand-in for `std::atomic<T>` used at every
-/// *protocol* atomic of the STM backends: the striped lock table and global
-/// version clock (src/stm/lock_table.h), the NOrec sequence lock, the
-/// in-place field word and mvstm version-chain head (src/stm/field.h), and
+/// *protocol* atomic of the STM backends: the global version clock
+/// (src/stm/lock_table.h), the NOrec sequence lock, each field's versioned
+/// lock word, in-place word and mvstm version-chain head (src/stm/field.h),
+/// and
 /// the ASTM ownership/seqlock/status words. Purely observational atomics —
 /// StmStats counters, the TxObserver registry, trace rings — deliberately
 /// stay on `std::atomic`: they never decide protocol outcomes, and every

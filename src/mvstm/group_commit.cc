@@ -61,7 +61,7 @@ void GroupCommitSequencer::LeadPending(Enrollee* self) {
   }
   // The stack pops newest-first; reverse to enrollment order so the log reads
   // naturally. Within a group the order carries no meaning — members hold
-  // disjoint write stripes and share one commit timestamp.
+  // disjoint write locks and share one commit timestamp.
   std::vector<Enrollee*> nodes;
   for (Enrollee* node = top; node != nullptr; node = node->next) {
     nodes.push_back(node);

@@ -1,13 +1,13 @@
 // Group commit for mvstm (docs/DURABILITY.md).
 //
 // With a redo log attached, update transactions stop committing solo.
-// After acquiring its write stripes, a committer enrolls in the forming
+// After acquiring its write locks, a committer enrolls in the forming
 // commit group and one thread — the leader — takes a single timestamp fence
 // (LockTable::ClockAdvance) and drives a single log append + fsync for the
 // whole group, so the per-commit durability cost is amortized across every
 // member. The protocol, per group:
 //
-//   1. enroll   — committers push themselves onto a pending stack (stripe
+//   1. enroll   — committers push themselves onto a pending stack (field
 //                 locks already held, so intra-group write sets are disjoint
 //                 by construction).
 //   2. lead     — any enrolled committer that finds the leader slot free
@@ -21,14 +21,14 @@
 //                 group of one: inside a larger group it would admit
 //                 intra-group write skew, so multi-member groups always
 //                 validate in full. A member that sees another member's
-//                 stripe lock in its read set fails validation here — the
+//                 field lock in its read set fails validation here — the
 //                 read-write conflicts a shared write version cannot order
 //                 are evicted from the group, never committed.
 //   4. append   — the leader writes one checksummed group record for the
 //                 members that validated and fsyncs per the log's policy.
 //   5. publish  — only after the append do members publish their version
 //                 chain nodes at the shared write version and release their
-//                 stripes (write-ahead rule: nothing becomes visible that
+//                 locks (write-ahead rule: nothing becomes visible that
 //                 the log does not describe).
 //
 // All coordination runs on sp::Atomic spin loops with yield sync points —
@@ -64,11 +64,11 @@ class GroupCommitSequencer {
   GroupCommitSequencer& operator=(const GroupCommitSequencer&) = delete;
 
   // Commits `tx` through the current group. Preconditions: tx holds its
-  // write stripes and has a non-empty write log. On true, *wv_out is the
+  // write locks and has a non-empty write log. On true, *wv_out is the
   // group's shared write version and the log append (per policy) has
   // happened — the caller publishes its versions at *wv_out and releases
-  // its stripes. On false, read-set validation failed; the caller restores
-  // its stripes and aborts. Blocks (spinning with yields) until the
+  // its locks. On false, read-set validation failed; the caller restores
+  // its locks and aborts. Blocks (spinning with yields) until the
   // group's leader has appended the record.
   bool CommitThrough(MvTx& tx, uint64_t* wv_out);
 

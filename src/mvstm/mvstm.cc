@@ -50,23 +50,20 @@ uint64_t MvTx::Read(const TxFieldBase& field) {
   if (read_only_) {
     return VersionChain::ReadAtSnapshot(field, start_ts_);
   }
-  if (!write_index_.empty()) {
-    auto it = write_index_.find(&field);
-    if (it != write_index_.end()) {
-      return write_log_[it->second].value;
-    }
+  if (const uint32_t pos = write_index_.Find(&field); pos != WriteIndex::kNotFound) {
+    return write_log_[pos].value;
   }
-  const sp::AtomicU64& stripe = LockTable::Global().StripeOf(field);
+  const sp::AtomicU64& lock = field.LockWord();
   // mo: acquire (all three) — seqlock-style bracket around the data read;
-  // pairs with committers' release of the stripe (see Tl2Tx::Read).
-  const uint64_t pre = stripe.load(std::memory_order_acquire);
+  // pairs with committers' release of the lock (see Tl2Tx::Read).
+  const uint64_t pre = lock.load(std::memory_order_acquire);
   const uint64_t value = field.LoadRaw(std::memory_order_acquire);
-  const uint64_t post = stripe.load(std::memory_order_acquire);
+  const uint64_t post = lock.load(std::memory_order_acquire);
   if (LockTable::IsLocked(pre) || pre != post || LockTable::VersionOf(pre) > start_ts_) {
-    SetTxAbortCause(AbortCause::kReadValidation, &stripe);
+    SetTxAbortCause(AbortCause::kReadValidation, &lock);
     throw TxAborted{};
   }
-  read_set_.push_back(&stripe);
+  read_set_.push_back(&lock);
   return value;
 }
 
@@ -76,51 +73,50 @@ void MvTx::Write(TxFieldBase& field, uint64_t value) {
     // path recorded no read set, so the attempt cannot be upgraded in place;
     // abort once and rerun every later attempt in update mode.
     demoted_ = true;
-    SetTxAbortCause(AbortCause::kSnapshotTooOld,
-                    &LockTable::Global().StripeOf(field));
+    SetTxAbortCause(AbortCause::kSnapshotTooOld, &field.LockWord());
     throw TxAborted{};
   }
   ++local_writes_;
-  auto [it, inserted] = write_index_.try_emplace(&field, write_log_.size());
+  const auto [pos, inserted] =
+      write_index_.Insert(&field, static_cast<uint32_t>(write_log_.size()));
   if (inserted) {
     write_log_.push_back(WriteEntry{&field, value});
   } else {
-    write_log_[it->second].value = value;
+    write_log_[pos].value = value;
   }
 }
 
-bool MvTx::AcquireWriteStripes() {
-  // Sorted by address so concurrent committers collide cleanly (see Tl2Tx).
-  std::vector<sp::AtomicU64*> stripes;
-  stripes.reserve(write_log_.size());
+bool MvTx::AcquireWriteLocks() {
+  // One lock per logged field (the write index keeps fields unique), sorted
+  // by address so concurrent committers collide cleanly (see Tl2Tx).
   for (const WriteEntry& entry : write_log_) {
-    stripes.push_back(&LockTable::Global().StripeOf(*entry.field));
+    acquired_.push_back(AcquiredLock{&entry.field->LockWord(), 0});
   }
-  std::sort(stripes.begin(), stripes.end());
-  stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
-
-  acquired_.reserve(stripes.size());
-  for (sp::AtomicU64* stripe : stripes) {
-    // mo: acquire probe, acq_rel CAS — see Tl2Tx::AcquireWriteStripes.
-    uint64_t word = stripe->load(std::memory_order_acquire);
+  std::sort(acquired_.begin(), acquired_.end(),
+            [](const AcquiredLock& a, const AcquiredLock& b) { return a.lock < b.lock; });
+  for (size_t i = 0; i < acquired_.size(); ++i) {
+    sp::AtomicU64* lock = acquired_[i].lock;
+    // mo: acquire probe, acq_rel CAS — see Tl2Tx::AcquireWriteLocks.
+    uint64_t word = lock->load(std::memory_order_acquire);
     if (LockTable::IsLocked(word) ||
-        !stripe->compare_exchange_strong(word, LockTable::MakeLocked(this),
-                                         std::memory_order_acq_rel)) {
-      SetTxAbortCause(AbortCause::kWriteLock, stripe);
+        !lock->compare_exchange_strong(word, LockTable::MakeLocked(this),
+                                       std::memory_order_acq_rel)) {
+      SetTxAbortCause(AbortCause::kWriteLock, lock);
+      acquired_.resize(i);
       ReleaseAcquired(0, /*use_saved=*/true);
       return false;
     }
-    acquired_.push_back(AcquiredStripe{stripe, word});
+    acquired_[i].saved_word = word;
   }
   return true;
 }
 
 void MvTx::ReleaseAcquired(uint64_t unlock_version, bool use_saved) {
-  for (const AcquiredStripe& held : acquired_) {
+  for (const AcquiredLock& held : acquired_) {
     // mo: release — unlocking publishes the version-chain nodes and the
     // in-place writeback this commit produced.
-    held.stripe->store(use_saved ? held.saved_word : LockTable::MakeVersion(unlock_version),
-                       std::memory_order_release);
+    held.lock->store(use_saved ? held.saved_word : LockTable::MakeVersion(unlock_version),
+                     std::memory_order_release);
   }
   acquired_.clear();
 }
@@ -129,27 +125,25 @@ bool MvTx::ValidateReadSet() {
   TxValidationScope validation;
   validation.set_steps(read_set_.size());
   local_validation_steps_ += static_cast<int64_t>(read_set_.size());
-  for (const sp::AtomicU64* stripe : read_set_) {
-    // mo: acquire — pairs with committers' release stores on the stripe.
-    const uint64_t word = stripe->load(std::memory_order_acquire);
+  for (const sp::AtomicU64* lock : read_set_) {
+    // mo: acquire — pairs with committers' release stores on the lock.
+    const uint64_t word = lock->load(std::memory_order_acquire);
     uint64_t effective = word;
     if (LockTable::IsLocked(word)) {
       if (LockTable::OwnerOf(word) != this) {
-        SetTxAbortCause(AbortCause::kReadValidation, stripe);
+        SetTxAbortCause(AbortCause::kReadValidation, lock);
         return false;
       }
       // Locked by our own commit: validate against the pre-lock version (a
       // rival may have committed between our read and our lock acquisition).
       const auto it = std::lower_bound(
-          acquired_.begin(), acquired_.end(), stripe,
-          [](const AcquiredStripe& held, const sp::AtomicU64* key) {
-            return held.stripe < key;
-          });
-      SB7_DCHECK(it != acquired_.end() && it->stripe == stripe);
+          acquired_.begin(), acquired_.end(), lock,
+          [](const AcquiredLock& held, const sp::AtomicU64* key) { return held.lock < key; });
+      SB7_DCHECK(it != acquired_.end() && it->lock == lock);
       effective = it->saved_word;
     }
     if (LockTable::VersionOf(effective) > start_ts_) {
-      SetTxAbortCause(AbortCause::kReadValidation, stripe);
+      SetTxAbortCause(AbortCause::kReadValidation, lock);
       return false;
     }
   }
@@ -165,7 +159,7 @@ bool MvTx::TryCommit() {
     RunCommitHooks();
     return true;
   }
-  if (!AcquireWriteStripes()) {
+  if (!AcquireWriteLocks()) {
     FlushLocalStats();
     RunAbortHooks();
     return false;
@@ -200,7 +194,7 @@ bool MvTx::TryCommit() {
     return false;
   }
   // Past this point the commit cannot fail: publish the versions. Publishing
-  // before the stripes unlock is what lets a concurrent snapshot reader with
+  // before the locks release is what lets a concurrent snapshot reader with
   // start_ts >= wv proceed without waiting for the unlock.
   for (const WriteEntry& entry : write_log_) {
     VersionChain::Publish(*entry.field, entry.value, wv);

@@ -1,5 +1,6 @@
 // Multi-version STM ("mvstm"): timestamped version lists in the spirit of
-// LSA / SwissTM, layered on the shared striped lock table and global clock.
+// LSA / SwissTM, layered on the per-field versioned locks and the global
+// clock shared with TL2.
 //
 // Two execution modes per transaction, chosen by the retry loop's read-only
 // hint (Operation::read_only() via StmStrategy):
@@ -10,7 +11,7 @@
 //     collapses invisible-read STMs (§5 of the paper) disappears by
 //     construction.
 //   * Update: TL2-style invisible reads with per-read validation and a redo
-//     log, committed under sorted per-stripe locks at a fresh clock tick;
+//     log, committed under sorted per-field locks at a fresh clock tick;
 //     each written field additionally publishes a {value, commit_ts} version
 //     node for concurrent and future snapshot readers.
 //
@@ -22,11 +23,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/stm/lock_table.h"
 #include "src/stm/stm.h"
+#include "src/stm/write_index.h"
 
 namespace sb7 {
 
@@ -79,7 +80,8 @@ class MvTx : public TxImplBase {
     uint64_t value;
   };
 
-  bool AcquireWriteStripes();
+  // Acquires the write set's locks in lock-address order (see Tl2Tx).
+  bool AcquireWriteLocks();
   void ReleaseAcquired(uint64_t unlock_version, bool use_saved);
   bool ValidateReadSet();
   void FlushLocalStats();
@@ -97,13 +99,13 @@ class MvTx : public TxImplBase {
 
   std::vector<const sp::AtomicU64*> read_set_;
   std::vector<WriteEntry> write_log_;
-  std::unordered_map<const TxFieldBase*, size_t> write_index_;
+  WriteIndex write_index_;  // field -> its position in write_log_
 
-  struct AcquiredStripe {
-    sp::AtomicU64* stripe;
+  struct AcquiredLock {
+    sp::AtomicU64* lock;
     uint64_t saved_word;  // pre-lock word, restored on failed commit
   };
-  std::vector<AcquiredStripe> acquired_;
+  std::vector<AcquiredLock> acquired_;  // sorted by lock address
 
   int64_t local_reads_ = 0;
   int64_t local_writes_ = 0;

@@ -16,7 +16,7 @@ void FreeMvHistoryHead(void* head) { delete static_cast<MvVersion*>(head); }
 }  // namespace internal
 
 void VersionChain::Publish(TxFieldBase& field, uint64_t value, uint64_t commit_ts) {
-  // mo: relaxed — the committer holds this field's stripe lock, so it is the
+  // mo: relaxed — the committer holds this field's lock, so it is the
   // only possible writer of the head and the word until it unlocks.
   auto* old_head = static_cast<MvVersion*>(field.LoadMvHistory(std::memory_order_relaxed));
   if (old_head == nullptr) {
@@ -42,40 +42,39 @@ void VersionChain::Publish(TxFieldBase& field, uint64_t value, uint64_t commit_t
 uint64_t VersionChain::ReadAtSnapshot(const TxFieldBase& field, uint64_t snapshot_ts) {
   // Safety hinges on the commit protocol's lock-before-clock-advance order
   // (MvTx::TryCommit, as in TL2): a commit with timestamp wv holds all its
-  // stripe locks before the clock can reach wv. Hence, for any reader whose
-  // snapshot_ts came from the clock, an UNLOCKED stripe proves that every
+  // field locks before the clock can reach wv. Hence, for any reader whose
+  // snapshot_ts came from the clock, an UNLOCKED field proves that every
   // commit to it with timestamp <= snapshot_ts has fully published its
-  // versions — the word and the chain can be trusted. A LOCKED stripe may
+  // versions — the word and the chain can be trusted. A LOCKED field may
   // carry an in-flight commit that belongs in this snapshot, so the reader
   // waits out the (short) publish+release window instead of serving a
   // possibly pre-commit state. Waiting is not aborting: the reader stays
   // abort-free, it is merely not wait-free across a rival's commit point.
-  const sp::AtomicU64& stripe = LockTable::Global().StripeOf(field);
+  const sp::AtomicU64& lock = field.LockWord();
   for (int attempt = 0;; ++attempt) {
     Backoff::Pause(attempt);
     // mo: acquire — an unlocked word pairs with the last committer's release,
     // making its published chain and writeback visible.
-    const uint64_t pre = stripe.load(std::memory_order_acquire);
+    const uint64_t pre = lock.load(std::memory_order_acquire);
     if (LockTable::IsLocked(pre)) {
       continue;
     }
     if (LockTable::VersionOf(pre) <= snapshot_ts) {
-      // The stripe's newest commit is within the snapshot: the in-place word
+      // The field's newest commit is within the snapshot: the in-place word
       // is the snapshot value. The post-check rejects words torn by a commit
-      // that locked the stripe between the two loads.
+      // that locked the field between the two loads.
       const uint64_t word = field.LoadRaw(std::memory_order_acquire);
       // mo: acquire — seqlock post-check; pairs with lockers' CAS.
-      if (stripe.load(std::memory_order_acquire) == pre) {
+      if (lock.load(std::memory_order_acquire) == pre) {
         return word;
       }
       continue;
     }
-    // Stripe newer than the snapshot (possibly on behalf of a colliding
-    // field) but unlocked: the version this reader needs is already in the
-    // chain. Load the word BEFORE the history head: writers publish the head
-    // before the word, so a null head here proves the word read below
-    // predates every committed write to this field — it is the pre-history
-    // value, committed at ts 0.
+    // Field newer than the snapshot but unlocked: the version this reader
+    // needs is already in the chain. Load the word BEFORE the history head:
+    // writers publish the head before the word, so a null head here proves
+    // the word read below predates every committed write to this field — it
+    // is the pre-history value, committed at ts 0.
     const uint64_t word = field.LoadRaw(std::memory_order_acquire);
     // mo: acquire — pairs with Publish's release; seeing the head implies the
     // node contents (value, commit_ts, next) are initialized.

@@ -3,7 +3,7 @@
 // Every TxFieldBase carries a hook (TxFieldBase::LoadMvHistory /
 // StoreMvHistory) pointing at a singly linked, newest-first list of committed
 // versions {value, commit_ts}. Writers publish a new head while holding the
-// field's stripe lock; read-only transactions walk the list to the newest
+// field's lock; read-only transactions walk the list to the newest
 // version with commit_ts <= their start timestamp and therefore never
 // validate and never abort (LSA/SwissTM-style timestamped version lists).
 //
@@ -55,15 +55,15 @@ class VersionChain {
  public:
   // Publishes `value` as the newest committed version of `field` at
   // `commit_ts` and stores it in place. The caller must hold the field's
-  // stripe lock and must already have advanced the global clock to at least
+  // lock and must already have advanced the global clock to at least
   // `commit_ts`. Retires the displaced head (or the synthesized base version
   // on the first push) through EbrDomain::Global().
   static void Publish(TxFieldBase& field, uint64_t value, uint64_t commit_ts);
 
   // Returns the value of the newest version with commit_ts <= snapshot_ts.
-  // Tries the in-place word under the stripe's pre/post check first, then
-  // walks the version list. Never aborts; may briefly wait out a rival
-  // commit's publish window when the stripe is locked (an in-flight commit
+  // Tries the in-place word under the field lock's pre/post check first,
+  // then walks the version list. Never aborts; may briefly wait out a rival
+  // commit's publish window when the field is locked (an in-flight commit
   // may carry a timestamp inside this snapshot). The calling thread must be
   // inside an EBR grace period (online and not quiescing until the enclosing
   // transaction finishes).

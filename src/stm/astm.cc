@@ -1,18 +1,18 @@
 #include "src/stm/astm.h"
 
+#include <functional>
+
 #include "src/common/diag.h"
-#include "src/stm/lock_table.h"
 
 namespace sb7 {
 namespace {
 
-// Conflict key for a unit-granular abort: the lock-table stripe of the
-// unit's first field, so attribution shares the word-STM key space. Null
-// for the (theoretical) field-less unit.
+// Conflict key for a unit-granular abort: the lock word of the unit's first
+// field, so attribution shares the word-STM key space. Null for the
+// (theoretical) field-less unit.
 const void* UnitConflictKey(const TmUnit& unit) {
   const auto& fields = unit.fields();
-  return fields.empty() ? nullptr
-                        : static_cast<const void*>(&LockTable::Global().StripeOf(*fields[0]));
+  return fields.empty() ? nullptr : static_cast<const void*>(&fields[0]->LockWord());
 }
 
 }  // namespace
@@ -156,12 +156,15 @@ AstmTx::WriteImage& AstmTx::OpenWrite(TmUnit& unit) {
   int retries = 0;
   while (true) {
     CheckAlive();
-    // mo: acquire load / acq_rel CAS — acquiring ownership must see the
-    // previous owner's release (its flush is complete) and publish this
-    // descriptor to rivals and contention managers.
+    // mo: acquire load — acquiring ownership must see the previous owner's
+    // release (its flush is complete).
     AstmTx* owner = unit.astm_owner.load(std::memory_order_acquire);
     if (owner == nullptr) {
-      if (unit.astm_owner.compare_exchange_strong(owner, this, std::memory_order_acq_rel)) {
+      // mo: seq_cst CAS — publishes this descriptor to rivals and contention
+      // managers, and is the store half of a store-then-load pair with
+      // ReadUnitsUnowned: a committer that owns a and read b, racing one
+      // that owns b and read a, must not both miss the other's ownership.
+      if (unit.astm_owner.compare_exchange_strong(owner, this, std::memory_order_seq_cst)) {
         break;
       }
       continue;
@@ -204,21 +207,76 @@ void AstmTx::Write(TxFieldBase& field, uint64_t value) {
   it->second.words[field.index_in_unit()] = value;
 }
 
-bool AstmTx::TryCommit() {
-  if (!ValidateReadList()) {
-    // Cause and conflict key were set by ValidateReadList.
-    AbortSelf();
+bool AstmTx::ReadUnitsUnowned() {
+  // The DSTM invisible-read rule at commit: validating versions alone misses
+  // a rival that owns a unit this transaction read but has not flushed it
+  // yet, which lets two transactions that each read {a, b} and each own one
+  // of them both commit (write skew). Runs in kCommitting, so nobody can
+  // kill this transaction meanwhile. A transaction that writes nothing
+  // serializes where its read list validates, whatever rivals own.
+  if (write_order_.empty()) {
+    return true;
+  }
+  try {
+    for (const auto& [unit, version] : read_map_) {
+      int retries = 0;
+      while (true) {
+        // mo: seq_cst — the load half of the store-then-load pair with the
+        // ownership CAS in OpenWrite (see there).
+        AstmTx* owner = unit->astm_owner.load(std::memory_order_seq_cst);
+        if (owner == nullptr || owner == this) {
+          break;
+        }
+        const AstmStatus status = owner->status();
+        if (status == AstmStatus::kAborted) {
+          break;  // killed or aborting: its image never reaches the unit
+        }
+        if (status == AstmStatus::kCommitted ||
+            (status == AstmStatus::kCommitting && std::less<>()(owner, this))) {
+          // Its flush will change what this transaction read; or both are
+          // committing, each owning what the other read, and the lower
+          // descriptor address wins the tie. A fixed tie-break, unlike a
+          // contention manager's kills, cannot let two symmetric committers
+          // abort each other forever.
+          SetTxAbortCause(AbortCause::kReadValidation, UnitConflictKey(*unit));
+          return false;
+        }
+        if (status == AstmStatus::kCommitting) {
+          Backoff::Pause(++retries);  // it loses the tie to us; await its abort
+          continue;
+        }
+        // Active: arbitrate; a kill that lands lets this commit proceed on
+        // the next pass, losing the arbitration throws.
+        HandleConflict(*unit, *owner, retries);
+      }
+    }
+  } catch (const TxAborted&) {
+    // Cause and conflict key were set by HandleConflict.
     return false;
   }
+  return true;
+}
+
+bool AstmTx::TryCommit() {
   AstmStatus expected = AstmStatus::kActive;
-  // mo: acq_rel — the commit point races the killer's CAS in RequestAbort;
-  // exactly one lands, and its effects must be visible both ways.
-  if (!status_.compare_exchange_strong(expected, AstmStatus::kCommitted,
-                                       std::memory_order_acq_rel)) {
+  // mo: seq_cst — the commit claim races the killer's CAS in RequestAbort
+  // (exactly one lands, and its effects must be visible both ways), and
+  // rival committers' ReadUnitsUnowned must see it once they see our
+  // ownership.
+  if (!status_.compare_exchange_strong(expected, AstmStatus::kCommitting,
+                                       std::memory_order_seq_cst)) {
     SetTxAbortCause(AbortCause::kKill);
     AbortSelf();  // a contention manager killed this transaction
     return false;
   }
+  if (!ReadUnitsUnowned() || !ValidateReadList()) {
+    // Cause and conflict key were set by the failing check.
+    AbortSelf();
+    return false;
+  }
+  // mo: release — the commit point; a rival that reads kCommitted fails its
+  // own commit check instead of reading the units this one flushes.
+  status_.store(AstmStatus::kCommitted, std::memory_order_release);
   // Commit point passed: flush redo images. The per-object seqlock goes odd
   // during the flush so concurrent readers never consume torn states.
   for (TmUnit* unit : write_order_) {

@@ -33,7 +33,10 @@
 
 namespace sb7 {
 
-enum class AstmStatus : uint8_t { kActive, kCommitted, kAborted };
+// kCommitting is the short window between a transaction's commit claim and
+// its commit point, while it checks the units it read: a contention manager
+// can no longer kill it there, and it either commits or aborts itself.
+enum class AstmStatus : uint8_t { kActive, kCommitting, kCommitted, kAborted };
 
 class AstmStm : public Stm {
  public:
@@ -74,8 +77,8 @@ class AstmTx : public TxImplBase {
   // Attempts to kill this transaction; returns true if the kill landed.
   bool RequestAbort() {
     AstmStatus expected = AstmStatus::kActive;
-    // mo: acq_rel — arbitration point against the victim's own commit CAS;
-    // winner's ordering must be visible both ways.
+    // mo: acq_rel — arbitration point against the victim's own commit
+    // claim; winner's ordering must be visible both ways.
     return status_.compare_exchange_strong(expected, AstmStatus::kAborted,
                                            std::memory_order_acq_rel);
   }
@@ -92,6 +95,10 @@ class AstmTx : public TxImplBase {
   uint64_t OpenRead(const TmUnit& unit);
   WriteImage& OpenWrite(TmUnit& unit);
   void HandleConflict(const TmUnit& unit, AstmTx& owner, int& retries);
+  // Commit-time check of the units this transaction read but does not own:
+  // returns false (cause set) when a rival owner has committed, wins the
+  // contention manager's arbitration, or is committing and wins the tie.
+  bool ReadUnitsUnowned();
   bool ValidateReadList();
   void ReleaseOwnerships();
 

@@ -193,7 +193,7 @@ constexpr const char* AbortCauseName(AbortCause cause) {
 
 /// What a backend knows about an abort at the point it decides to die: the
 /// cause, plus an opaque conflict key identifying the contended location
-/// (the address of its lock-table stripe for the word STMs; null when the
+/// (the address of the field's lock word for the word STMs; null when the
 /// site has no single location, e.g. contention-manager kills).
 struct TxAbortInfo {
   AbortCause cause = AbortCause::kUnknown;
@@ -274,7 +274,7 @@ inline void SetTxTimingEnabled(bool enabled) {
 /// Every callback is `noexcept` (enforced by `sb7-lint`): observers fire on
 /// STM hot paths — inside the retry loop and between a backend's lock
 /// acquisition and release — where an escaping exception would unwind
-/// through protocol state (held stripes, odd seqlocks) and corrupt it.
+/// through protocol state (held locks, odd seqlocks) and corrupt it.
 class TxObserver {
  public:
   virtual ~TxObserver() = default;
@@ -453,9 +453,9 @@ void FreeMvHistoryHead(void* head);
 }  // namespace internal
 
 /// Untyped shared word. The word doubles as the in-place value for every
-/// STM flavour; per-location versioning lives in the global striped lock
-/// table (word STMs), in the owning TmUnit (object STM), or in the
-/// per-field version chain (multi-version STM).
+/// STM flavour; per-location versioning lives in the field's own versioned
+/// lock (word STMs, encoded by LockTable), in the owning TmUnit (object
+/// STM), or in the per-field version chain (multi-version STM).
 class TxFieldBase {
  public:
   TxFieldBase(TmUnit& owner, uint64_t initial) : word_(initial), owner_(&owner) {
@@ -495,10 +495,19 @@ class TxFieldBase {
     }
   }
 
+  // Versioned lock of this field for the word STMs (tl2, tinystm, mvstm):
+  // version << 1 when unlocked, owning transaction | 1 when locked (see
+  // LockTable). Born unlocked at version 0, which is at or below every
+  // snapshot: a field is unreachable until a committed write links it. Its
+  // memory, and so the lock, is reused only after EBR's grace period, so no
+  // running transaction can hold a stale pointer to it. Not for use by
+  // benchmark code (enforced by sb7-lint, as for the raw accessors).
+  sp::AtomicU64& LockWord() const { return lock_; }
+
   // --- multi-version hook (mvstm backend) ---
   // Head of this field's committed-version history, managed by
   // src/mvstm/version_chain.*. Null until the mvstm backend first writes the
-  // field; only ever stored while holding the field's stripe lock.
+  // field; only ever stored while holding the field's lock.
   void* LoadMvHistory(std::memory_order order = std::memory_order_acquire) const {
     // mo: caller-supplied; acquire default makes the node's fields visible.
     return mv_history_.load(order);
@@ -509,9 +518,13 @@ class TxFieldBase {
   }
 
  private:
-  // Both on the SyncPoint seam (src/mc/sync_point.h): the in-place word is
-  // the datum every STM protocol races on, and the version-chain head is
-  // mvstm's publication point.
+  // All three on the SyncPoint seam (src/mc/sync_point.h): the lock is what
+  // the word STMs race on, the in-place word is the datum every STM
+  // protocol reads, and the version-chain head is mvstm's publication
+  // point. The lock sits next to the word so that an access touches one
+  // cache line. Mutable: reading a field transactionally records or checks
+  // its lock, which is metadata, not the field's value.
+  mutable sp::AtomicU64 lock_{0};
   sp::AtomicU64 word_;
   sp::Atomic<void*> mv_history_{nullptr};
   TmUnit* owner_;
@@ -598,11 +611,16 @@ class TxText {
 
   void Set(std::string text) {
     auto* fresh = new std::string(std::move(text));
+    Transaction* tx = CurrentTx();
+    // Registered before the first transactional access: either access below
+    // may abort the attempt, and the fresh body is not yet shared.
+    if (tx != nullptr) {
+      tx->OnAbort([fresh] { delete fresh; });
+    }
     const std::string* old = field_.Get();
     field_.Set(fresh);
-    if (Transaction* tx = CurrentTx()) {
+    if (tx != nullptr) {
       tx->OnCommit([old] { EbrDomain::Global().RetireObject(old); });
-      tx->OnAbort([fresh] { delete fresh; });
     } else {
       EbrDomain::Global().RetireObject(old);
     }

@@ -4,9 +4,4 @@ namespace sb7 {
 
 sp::AtomicU64 LockTable::clock_{1};
 
-LockTable& LockTable::Global() {
-  static LockTable* table = new LockTable();  // immortal: 8 MiB of stripes
-  return *table;
-}
-
 }  // namespace sb7

@@ -1,12 +1,14 @@
-// Striped versioned-lock table shared by the word-based STMs.
+// Versioned-lock encoding and the global version clock shared by the
+// word-based STMs.
 //
-// Each shared word hashes to one of 2^20 stripes. A stripe word encodes
-// either an unlocked version number (value << 1) or a locked state holding
-// the owning transaction's pointer with the low bit set (transaction objects
-// are at least 8-byte aligned, so the low bit is free). Versions are drawn
-// from a single global version clock, as in TL2; TinySTM shares the table and
-// the clock — only one STM flavour is active per benchmark run, and version
-// monotonicity keeps mixed use in tests safe.
+// Every field carries its own lock word (TxFieldBase::LockWord()). A lock
+// word encodes either an unlocked version number (value << 1) or a locked
+// state holding the owning transaction's pointer with the low bit set
+// (transaction objects are at least 8-byte aligned, so the low bit is free).
+// Versions are drawn from a single global version clock, as in TL2; TinySTM
+// and mvstm share the encoding and the clock — only one STM flavour is
+// active per benchmark run, and version monotonicity keeps mixed use in
+// tests safe.
 
 #ifndef STMBENCH7_SRC_STM_LOCK_TABLE_H_
 #define STMBENCH7_SRC_STM_LOCK_TABLE_H_
@@ -15,27 +17,11 @@
 #include <cstdint>
 
 #include "src/mc/sync_point.h"
-#include "src/stm/field.h"
 
 namespace sb7 {
 
 class LockTable {
  public:
-  static constexpr size_t kStripeBits = 20;
-  static constexpr size_t kStripes = size_t{1} << kStripeBits;
-
-  static LockTable& Global();
-
-  // Stripes and the clock are sp::Atomic — the SyncPoint seam the
-  // deterministic interleaving explorer (src/mc/) schedules around. In
-  // normal builds (SB7_MC off) sp::Atomic is std::atomic, verbatim.
-  sp::AtomicU64& StripeOf(const TxFieldBase& field) {
-    auto addr = reinterpret_cast<uintptr_t>(&field);
-    // Fibonacci hash of the field address; fields are >= 8-byte objects.
-    const uint64_t h = (static_cast<uint64_t>(addr) >> 3) * 0x9e3779b97f4a7c15ull;
-    return stripes_[h >> (64 - kStripeBits)];
-  }
-
   // --- encoding helpers ---
   static bool IsLocked(uint64_t word) { return (word & 1) != 0; }
   static uint64_t VersionOf(uint64_t word) { return word >> 1; }
@@ -47,9 +33,11 @@ class LockTable {
     return reinterpret_cast<const void*>(static_cast<uintptr_t>(word & ~uint64_t{1}));
   }
 
-  // Global version clock (TL2's "global version number").
+  // Global version clock (TL2's "global version number"). On the SyncPoint
+  // seam the deterministic interleaving explorer (src/mc/) schedules around;
+  // in normal builds (SB7_MC off) sp::Atomic is std::atomic, verbatim.
   // mo: acquire — a transaction's start timestamp must happen-after the
-  // commits whose versions it may observe (their release of the stripes).
+  // commits whose versions it may observe (their release of the locks).
   static uint64_t ClockNow() { return clock_.load(std::memory_order_acquire); }
   // mo: acq_rel — the tick is the commit's serialization point: it must see
   // every earlier tick (acquire) and publish this commit's existence to
@@ -57,10 +45,7 @@ class LockTable {
   static uint64_t ClockAdvance() { return clock_.fetch_add(1, std::memory_order_acq_rel) + 1; }
 
  private:
-  LockTable() = default;
-
   static sp::AtomicU64 clock_;
-  sp::AtomicU64 stripes_[kStripes] = {};
 };
 
 }  // namespace sb7

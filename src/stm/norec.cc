@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "src/common/diag.h"
-#include "src/stm/lock_table.h"
 
 namespace sb7 {
 namespace {
@@ -61,10 +60,8 @@ uint64_t NorecTx::Validate() {
     }
     if (!consistent) {
       // NOrec has no per-location metadata of its own; key the conflict by
-      // the field's lock-table stripe so attribution shares the word-STM
-      // key space.
-      SetTxAbortCause(AbortCause::kReadValidation,
-                      &LockTable::Global().StripeOf(*conflicting));
+      // the field's lock word so attribution shares the word-STM key space.
+      SetTxAbortCause(AbortCause::kReadValidation, &conflicting->LockWord());
       throw TxAborted{};
     }
     // Values matched; the snapshot is only coherent if no writer committed
@@ -79,11 +76,8 @@ uint64_t NorecTx::Validate() {
 
 uint64_t NorecTx::Read(const TxFieldBase& field) {
   ++local_reads_;
-  if (!write_index_.empty()) {
-    auto it = write_index_.find(&field);
-    if (it != write_index_.end()) {
-      return write_log_[it->second].second;
-    }
+  if (const uint32_t pos = write_index_.Find(&field); pos != WriteIndex::kNotFound) {
+    return write_log_[pos].second;
   }
   uint64_t value = field.LoadRaw(std::memory_order_acquire);
   // If a writer committed since our snapshot, re-validate by value and move
@@ -100,11 +94,12 @@ uint64_t NorecTx::Read(const TxFieldBase& field) {
 
 void NorecTx::Write(TxFieldBase& field, uint64_t value) {
   ++local_writes_;
-  auto [it, inserted] = write_index_.try_emplace(&field, write_log_.size());
+  const auto [pos, inserted] =
+      write_index_.Insert(&field, static_cast<uint32_t>(write_log_.size()));
   if (inserted) {
     write_log_.emplace_back(&field, value);
   } else {
-    write_log_[it->second].second = value;
+    write_log_[pos].second = value;
   }
 }
 

@@ -5,7 +5,7 @@
 // lock orders all writers, reads are invisible and validated **by value**
 // (the read set stores (location, value) pairs and re-reads them whenever
 // the global clock moves). Value-based validation makes NOrec immune to the
-// false conflicts of striped lock tables and very cheap for read-dominated
+// false conflicts of version metadata and very cheap for read-dominated
 // workloads, at the price of serializing writer commits — exactly the
 // trade-off the backend sweeps (`sb7-bench --sweep fig6`) quantify on the
 // STMBench7 mix.
@@ -15,10 +15,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/stm/stm.h"
+#include "src/stm/write_index.h"
 
 namespace sb7 {
 
@@ -58,7 +58,7 @@ class NorecTx : public TxImplBase {
 
   std::vector<ReadEntry> read_log_;
   std::vector<std::pair<TxFieldBase*, uint64_t>> write_log_;
-  std::unordered_map<const TxFieldBase*, size_t> write_index_;
+  WriteIndex write_index_;  // field -> its position in write_log_
 
   int64_t local_reads_ = 0;
   int64_t local_writes_ = 0;

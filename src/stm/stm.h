@@ -153,7 +153,7 @@ struct StmStats {
 /// Per-attempt transaction implementation. The retry loop owns the life
 /// cycle: BeginAttempt -> body -> (TryCommit | AbortSelf). After
 /// TryCommit() returns false or AbortSelf() returns, all transaction-held
-/// resources (stripe locks, object ownerships, undo state) have been
+/// resources (field locks, object ownerships, undo state) have been
 /// released.
 class TxImplBase : public Transaction {
  public:

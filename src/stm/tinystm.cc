@@ -27,17 +27,17 @@ bool TinyTx::ValidateReadSet() const {
   validation.set_steps(read_set_.size());
   local_validation_steps_ += static_cast<int64_t>(read_set_.size());
   for (const ReadEntry& entry : read_set_) {
-    // mo: acquire — pairs with committers' release stores on the stripe.
-    const uint64_t word = entry.stripe->load(std::memory_order_acquire);
+    // mo: acquire — pairs with committers' release stores on the lock.
+    const uint64_t word = entry.lock->load(std::memory_order_acquire);
     if (word == entry.observed) {
       continue;
     }
     // The word changed since the read. The only benign change is this
-    // transaction itself locking the stripe for writing afterwards.
+    // transaction itself taking the lock for writing afterwards.
     if (LockTable::IsLocked(word) && LockTable::OwnerOf(word) == this) {
       continue;
     }
-    SetTxAbortCause(AbortCause::kReadValidation, entry.stripe);
+    SetTxAbortCause(AbortCause::kReadValidation, entry.lock);
     return false;
   }
   return true;
@@ -53,23 +53,23 @@ bool TinyTx::ExtendSnapshot(uint64_t now) {
 
 uint64_t TinyTx::Read(const TxFieldBase& field) {
   ++local_reads_;
-  sp::AtomicU64& stripe = LockTable::Global().StripeOf(field);
+  sp::AtomicU64& lock = field.LockWord();
   while (true) {
     // mo: acquire — the pre/post pair brackets the in-place data read
     // seqlock-style; both must see the owning writer's release.
-    const uint64_t pre = stripe.load(std::memory_order_acquire);
+    const uint64_t pre = lock.load(std::memory_order_acquire);
     if (LockTable::IsLocked(pre)) {
       if (LockTable::OwnerOf(pre) == this) {
         // In-place write-through: memory already holds this transaction's
         // value.
         return field.LoadRaw(std::memory_order_acquire);
       }
-      SetTxAbortCause(AbortCause::kWriteLock, &stripe);
+      SetTxAbortCause(AbortCause::kWriteLock, &lock);
       throw TxAborted{};  // owned by a concurrent writer
     }
     const uint64_t value = field.LoadRaw(std::memory_order_acquire);
     // mo: acquire — the post read of the seqlock pair bracketing the data.
-    const uint64_t post = stripe.load(std::memory_order_acquire);
+    const uint64_t post = lock.load(std::memory_order_acquire);
     if (post != pre) {
       continue;  // raced with a commit; re-read
     }
@@ -77,21 +77,21 @@ uint64_t TinyTx::Read(const TxFieldBase& field) {
       // Cause and conflict key were set by ValidateReadSet.
       throw TxAborted{};
     }
-    read_set_.push_back(ReadEntry{&stripe, pre});
+    read_set_.push_back(ReadEntry{&lock, pre});
     return value;
   }
 }
 
 void TinyTx::Write(TxFieldBase& field, uint64_t value) {
   ++local_writes_;
-  sp::AtomicU64& stripe = LockTable::Global().StripeOf(field);
-  if (!OwnsStripe(&stripe)) {
-    // mo: acquire — probe must see the last owner's release of the stripe.
-    uint64_t word = stripe.load(std::memory_order_acquire);
+  sp::AtomicU64& lock = field.LockWord();
+  if (!OwnsLock(&lock)) {
+    // mo: acquire — probe must see the last owner's release of the lock.
+    uint64_t word = lock.load(std::memory_order_acquire);
     if (LockTable::IsLocked(word)) {
       // Either a concurrent writer owns it, or this transaction does (which
-      // OwnsStripe already ruled out).
-      SetTxAbortCause(AbortCause::kWriteLock, &stripe);
+      // OwnsLock already ruled out).
+      SetTxAbortCause(AbortCause::kWriteLock, &lock);
       throw TxAborted{};
     }
     if (LockTable::VersionOf(word) > rv_ && !ExtendSnapshot(LockTable::ClockNow())) {
@@ -100,13 +100,13 @@ void TinyTx::Write(TxFieldBase& field, uint64_t value) {
     }
     // mo: acq_rel — encounter-time acquisition: observe the prior owner's
     // release and publish our ownership before the in-place store.
-    if (!stripe.compare_exchange_strong(word, LockTable::MakeLocked(this),
-                                        std::memory_order_acq_rel)) {
-      SetTxAbortCause(AbortCause::kWriteLock, &stripe);
+    if (!lock.compare_exchange_strong(word, LockTable::MakeLocked(this),
+                                      std::memory_order_acq_rel)) {
+      SetTxAbortCause(AbortCause::kWriteLock, &lock);
       throw TxAborted{};
     }
-    owned_.push_back(OwnedStripe{&stripe, word});
-    owned_lookup_.insert(&stripe);
+    owned_.push_back(OwnedLock{&lock, word});
+    owned_lookup_.insert(&lock);
   }
   undo_log_.push_back(UndoEntry{&field, field.LoadRaw(std::memory_order_acquire)});
   field.StoreRaw(value, std::memory_order_release);
@@ -125,9 +125,9 @@ bool TinyTx::TryCommit() {
     RunAbortHooks();
     return false;
   }
-  for (const OwnedStripe& held : owned_) {
+  for (const OwnedLock& held : owned_) {
     // mo: release — publishes the in-place writes before the new version.
-    held.stripe->store(LockTable::MakeVersion(wv), std::memory_order_release);
+    held.lock->store(LockTable::MakeVersion(wv), std::memory_order_release);
   }
   owned_.clear();
   owned_lookup_.clear();
@@ -142,9 +142,9 @@ void TinyTx::RollbackAndRelease() {
     it->field->StoreRaw(it->old_value, std::memory_order_release);
   }
   undo_log_.clear();
-  for (const OwnedStripe& held : owned_) {
+  for (const OwnedLock& held : owned_) {
     // mo: release — publishes the undo writeback before dropping the lock.
-    held.stripe->store(held.pre_lock_word, std::memory_order_release);
+    held.lock->store(held.pre_lock_word, std::memory_order_release);
   }
   owned_.clear();
   owned_lookup_.clear();

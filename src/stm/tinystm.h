@@ -2,7 +2,7 @@
 // [11]/[13] lazy-snapshot / encounter-time family).
 //
 // Mechanics: encounter-time locking — a write immediately acquires the
-// stripe, saves the old value in an undo log and updates memory in place.
+// field's lock, saves the old value in an undo log and updates memory in place.
 // Reads are invisible and timestamp-validated; when a read observes a version
 // newer than the current snapshot the snapshot is *extended* (the whole read
 // set is revalidated against the current clock), which lets long transactions
@@ -42,20 +42,20 @@ class TinyTx : public TxImplBase {
 
  private:
   struct ReadEntry {
-    const sp::AtomicU64* stripe;
-    uint64_t observed;  // stripe word at read time
+    const sp::AtomicU64* lock;
+    uint64_t observed;  // lock word at read time
   };
   struct UndoEntry {
     TxFieldBase* field;
     uint64_t old_value;
   };
-  struct OwnedStripe {
-    sp::AtomicU64* stripe;
+  struct OwnedLock {
+    sp::AtomicU64* lock;
     uint64_t pre_lock_word;  // restored on abort
   };
 
-  bool OwnsStripe(const sp::AtomicU64* stripe) const {
-    return owned_lookup_.count(stripe) != 0;
+  bool OwnsLock(const sp::AtomicU64* lock) const {
+    return owned_lookup_.count(lock) != 0;
   }
 
   // Revalidates the read set against `now` and, on success, moves the
@@ -69,7 +69,7 @@ class TinyTx : public TxImplBase {
 
   std::vector<ReadEntry> read_set_;
   std::vector<UndoEntry> undo_log_;
-  std::vector<OwnedStripe> owned_;
+  std::vector<OwnedLock> owned_;
   std::unordered_set<const sp::AtomicU64*> owned_lookup_;
 
   int64_t local_reads_ = 0;

@@ -1,9 +1,9 @@
 // TL2-style word-based STM (Dice, Shalev, Shavit — DISC'06, the paper's [5]).
 //
 // Mechanics: a transaction samples the global version clock at start (rv),
-// reads are invisible and validated per-read against the per-stripe versioned
+// reads are invisible and validated per-read against the per-field versioned
 // locks (post-validation gives opacity, so no zombie executions), writes are
-// buffered in a redo log and published at commit under commit-time stripe
+// buffered in a redo log and published at commit under commit-time field
 // locks with a fresh write version (wv).
 
 #ifndef STMBENCH7_SRC_STM_TL2_H_
@@ -11,11 +11,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/stm/lock_table.h"
 #include "src/stm/stm.h"
+#include "src/stm/write_index.h"
 
 namespace sb7 {
 
@@ -46,10 +46,10 @@ class Tl2Tx : public TxImplBase {
     uint64_t value;
   };
 
-  // Acquires the stripes covering the write set in address order; returns
-  // false (with everything released) if any stripe is held by another
+  // Acquires the locks of the write set in lock-address order; returns
+  // false (with everything released) if any lock is held by another
   // transaction.
-  bool AcquireWriteStripes();
+  bool AcquireWriteLocks();
   void ReleaseAcquired(uint64_t unlock_word_version, bool use_saved);
   bool ValidateReadSet();
 
@@ -58,13 +58,13 @@ class Tl2Tx : public TxImplBase {
 
   std::vector<const sp::AtomicU64*> read_set_;
   std::vector<WriteEntry> write_log_;
-  std::unordered_map<const TxFieldBase*, size_t> write_index_;
+  WriteIndex write_index_;  // field -> its position in write_log_
 
-  struct AcquiredStripe {
-    sp::AtomicU64* stripe;
+  struct AcquiredLock {
+    sp::AtomicU64* lock;
     uint64_t saved_word;  // pre-lock word, restored on failed commit
   };
-  std::vector<AcquiredStripe> acquired_;
+  std::vector<AcquiredLock> acquired_;  // sorted by lock address
 
   // Local counters flushed to stats_ at attempt end.
   int64_t local_reads_ = 0;

@@ -4,13 +4,13 @@
 ///
 /// The conflict table is a fixed array of atomically-updated buckets keyed
 /// by the conflict key backends attach to aborts (the address of the
-/// contended lock-table stripe). Each bucket counts aborts attributed to
+/// contended field's lock word). Each bucket counts aborts attributed to
 /// its key and remembers the op type of the last writer seen there, which
 /// feeds a (victim op × last-writer op) pair matrix — the "who kills whom"
 /// table §6 of the paper reads off abort rates. Keys that hash to the same
-/// bucket share a count (attribution is statistical, like the lock table
-/// itself); with 2^12 buckets against a handful of genuinely hot stripes,
-/// collisions only blur the cold tail.
+/// bucket share a count (attribution is statistical); with 2^12 buckets
+/// against a handful of genuinely hot locations, collisions only blur the
+/// cold tail.
 
 #ifndef STMBENCH7_SRC_TRACE_CONFLICT_H_
 #define STMBENCH7_SRC_TRACE_CONFLICT_H_
@@ -95,7 +95,7 @@ class ConflictTable {
   };
 
   static size_t BucketOf(uintptr_t key) {
-    // Fibonacci scramble of the (stripe-aligned) key, as in LockTable.
+    // Fibonacci scramble of the (8-byte aligned) key.
     return static_cast<size_t>((key * 0x9e3779b97f4a7c15ull) >> 52) & (kBuckets - 1);
   }
 
@@ -107,7 +107,7 @@ class ConflictTable {
 
 /// Report-ready ranking extracted from a snapshot (usually a phase delta).
 struct ConflictHotLocation {
-  uint64_t key = 0;       // conflict key (stripe address) — an opaque id
+  uint64_t key = 0;       // conflict key (lock word address) — an opaque id
   int64_t aborts = 0;
 };
 struct ConflictPair {

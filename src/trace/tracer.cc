@@ -2,7 +2,6 @@
 
 #include "src/common/diag.h"
 #include "src/common/timing.h"
-#include "src/stm/lock_table.h"
 
 namespace sb7::trace {
 namespace {
@@ -24,10 +23,11 @@ thread_local TlsSlot tls_slot;
 // mo: relaxed — id allocation only needs uniqueness, not ordering.
 std::atomic<uint64_t> g_next_tracer_id{1};
 
-// Conflict key of a field: the address of its lock-table stripe, matching
-// the keys backends attach to aborts.
+// Conflict key of a field: the address of its lock word, matching the keys
+// backends attach to aborts.
 uintptr_t KeyOf(const TxFieldBase& field) {
-  return reinterpret_cast<uintptr_t>(&LockTable::Global().StripeOf(field));
+  // raw-ok: the address is only a key; the lock word is never loaded here.
+  return reinterpret_cast<uintptr_t>(&field.LockWord());
 }
 
 }  // namespace

@@ -191,7 +191,8 @@ TEST(McStmTest, BoundedExplorationOfRealBackendsStaysOpaque) {
   options.max_schedules = 60;
   options.max_steps = 600;
   for (const char* name : {"stm-lost-update-tl2", "stm-lost-update-norec",
-                           "stm-snapshot-mvstm", "stm-increment-pair-tinystm"}) {
+                           "stm-snapshot-mvstm", "stm-increment-pair-tinystm",
+                           "stm-write-skew-astm"}) {
     const ExploreResult result = Explore(Registered(name), options);
     EXPECT_EQ(result.failures, 0u)
         << name << ": "

@@ -1,13 +1,17 @@
 // Targeted regression and edge-case tests for STM internals: the TL2
 // read-then-write-same-location race, TinySTM snapshot extension, ASTM
-// seqlock states, lock-table encoding, TxText under real transactions, and
-// string-keyed indexes (the document-title index shape).
+// seqlock states, the versioned-lock encoding and per-field lock words, the
+// flat write index, TxText under real transactions, and string-keyed
+// indexes (the document-title index shape).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
+#include <unordered_set>
+#include <vector>
 
 #include "src/containers/skiplist_index.h"
 #include "src/containers/snapshot_index.h"
@@ -16,6 +20,7 @@
 #include "src/stm/stm_factory.h"
 #include "src/stm/tinystm.h"
 #include "src/stm/tl2.h"
+#include "src/stm/write_index.h"
 
 namespace sb7 {
 namespace {
@@ -42,12 +47,101 @@ TEST(LockTableTest, ClockIsMonotonic) {
   EXPECT_GE(LockTable::ClockNow(), b);
 }
 
-TEST(LockTableTest, StripeIsStablePerField) {
+TEST(LockTableTest, LockWordIsStablePerFieldAndBornUnlocked) {
   TmObject holder;
   TxField<int64_t> field(holder.unit(), 0);
-  auto& s1 = LockTable::Global().StripeOf(field);
-  auto& s2 = LockTable::Global().StripeOf(field);
-  EXPECT_EQ(&s1, &s2);
+  // raw-ok: the test inspects the lock word itself.
+  auto& l1 = field.LockWord();
+  auto& l2 = field.LockWord();  // raw-ok: same
+  EXPECT_EQ(&l1, &l2);
+  EXPECT_EQ(l1.load(std::memory_order_relaxed), LockTable::MakeVersion(0));
+}
+
+// Every live field owns its lock, so no two fields can falsely conflict;
+// hashed into a shared table of 2^20 stripes, 20,000 fields would form about
+// 190 colliding pairs.
+TEST(LockTableTest, LiveFieldsHaveDistinctLockWords) {
+  constexpr int kFields = 20000;
+  TmObject holder;
+  std::vector<std::unique_ptr<TxField<int64_t>>> fields;
+  fields.reserve(kFields);
+  std::unordered_set<const void*> locks;
+  for (int i = 0; i < kFields; ++i) {
+    fields.push_back(std::make_unique<TxField<int64_t>>(holder.unit(), i));
+    locks.insert(&fields.back()->LockWord());  // raw-ok: address only
+  }
+  EXPECT_EQ(locks.size(), static_cast<size_t>(kFields));
+}
+
+// --- WriteIndex: the redo-log STMs' field -> log position map ---
+
+TEST(WriteIndexTest, FindInsertAndOverwrite) {
+  WriteIndex index;
+  int a = 0;
+  int b = 0;
+  EXPECT_TRUE(index.empty());
+  EXPECT_EQ(index.Find(&a), WriteIndex::kNotFound);
+  EXPECT_EQ(index.Insert(&a, 7), std::make_pair(uint32_t{7}, true));
+  EXPECT_EQ(index.Insert(&b, 8), std::make_pair(uint32_t{8}, true));
+  // A second insert of a present key keeps the first position, as
+  // try_emplace does: the caller overwrites the log entry it points at.
+  EXPECT_EQ(index.Insert(&a, 9), std::make_pair(uint32_t{7}, false));
+  EXPECT_EQ(index.Find(&a), 7u);
+  EXPECT_EQ(index.Find(&b), 8u);
+  EXPECT_EQ(index.size(), 2u);
+}
+
+TEST(WriteIndexTest, GrowsThroughSeveralDoublingsAndStaysAtMostHalfFull) {
+  WriteIndex index;
+  const size_t initial = index.capacity();
+  constexpr uint32_t kKeys = 5000;
+  std::vector<uint64_t> keys(kKeys);
+  for (uint32_t i = 0; i < kKeys; ++i) {
+    EXPECT_TRUE(index.Insert(&keys[i], i).second);
+    EXPECT_LE(2 * index.size(), index.capacity());
+  }
+  EXPECT_GE(index.capacity(), initial * 64) << "at least six doublings";
+  for (uint32_t i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(index.Find(&keys[i]), i);
+  }
+  uint64_t absent = 0;
+  EXPECT_EQ(index.Find(&absent), WriteIndex::kNotFound);
+}
+
+TEST(WriteIndexTest, ClearForgetsEveryEntry) {
+  WriteIndex index;
+  std::vector<uint64_t> keys(100);
+  for (uint32_t i = 0; i < keys.size(); ++i) {
+    index.Insert(&keys[i], i);
+  }
+  const size_t capacity = index.capacity();
+  index.clear();
+  EXPECT_TRUE(index.empty());
+  EXPECT_EQ(index.capacity(), capacity) << "clear keeps the grown table";
+  for (const uint64_t& key : keys) {
+    EXPECT_EQ(index.Find(&key), WriteIndex::kNotFound);
+  }
+  // Reinserting after a clear records the new positions.
+  EXPECT_EQ(index.Insert(&keys[5], 42), std::make_pair(uint32_t{42}, true));
+  EXPECT_EQ(index.Find(&keys[5]), 42u);
+  EXPECT_EQ(index.Find(&keys[6]), WriteIndex::kNotFound);
+}
+
+TEST(WriteIndexTest, GenerationWrapAroundForgetsStaleSlots) {
+  WriteIndex index;
+  uint64_t early = 0;
+  uint64_t late = 0;
+  index.Insert(&early, 1);
+  index.clear();
+  // Two full cycles of the 16-bit generation tag. Without the reset at the
+  // wrap, the tag would come back to the generation that filled `early`'s
+  // slot and the entry would reappear.
+  for (uint32_t i = 0; i < 2 * 65536; ++i) {
+    ASSERT_EQ(index.Find(&early), WriteIndex::kNotFound) << "after " << i << " clears";
+    ASSERT_TRUE(index.Insert(&late, i).second);
+    ASSERT_EQ(index.Find(&late), i);
+    index.clear();
+  }
 }
 
 // Regression: TL2-style read-set validation must reject a stripe the

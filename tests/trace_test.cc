@@ -365,7 +365,7 @@ TEST(TracerTest, AttributesDeterministicAbortToCauseAndPair) {
   tracer.Install();
   auto stm = MakeStm("tl2");
   Cell cell(0);
-  const void* stripe = &LockTable::Global().StripeOf(cell.value);
+  const void* lock = &cell.value.LockWord();  // raw-ok: conflict key only
 
   // "Writer op" 2 touches the cell, planting the last-writer tag.
   SetTxOpContext(2);
@@ -377,7 +377,7 @@ TEST(TracerTest, AttributesDeterministicAbortToCauseAndPair) {
   stm->RunAtomically([&](Transaction&) {
     if (first) {
       first = false;
-      SetTxAbortCause(sb7::AbortCause::kWriteLock, stripe);
+      SetTxAbortCause(sb7::AbortCause::kWriteLock, lock);
       throw TxAborted{};
     }
     cell.value.Set(2);
@@ -389,7 +389,7 @@ TEST(TracerTest, AttributesDeterministicAbortToCauseAndPair) {
   EXPECT_EQ(summary.total_aborts, 1);
   EXPECT_EQ(summary.attributed_aborts, 1);
   ASSERT_EQ(summary.top_locations.size(), 1u);
-  EXPECT_EQ(summary.top_locations[0].key, reinterpret_cast<uint64_t>(stripe));
+  EXPECT_EQ(summary.top_locations[0].key, reinterpret_cast<uint64_t>(lock));
   ASSERT_EQ(summary.top_pairs.size(), 1u);
   EXPECT_EQ(summary.top_pairs[0].victim_slot, ConflictOpSlot(5));
   EXPECT_EQ(summary.top_pairs[0].writer_slot, ConflictOpSlot(2));

@@ -10,12 +10,13 @@
 //       must name a memory_order (no defaulted seq_cst) and carry a
 //       `// mo:` rationale on the same line or within the 6 preceding ones.
 //   R2  seam scope — raw Field storage access (LoadRaw, StoreRaw,
-//       LoadMvHistory, StoreMvHistory) is only allowed inside src/stm/ and
-//       src/mvstm/ (the Tx API seam and the backends behind it). Sites
-//       elsewhere need a `// raw-ok: <reason>` annotation nearby.
+//       LoadMvHistory, StoreMvHistory) and the field's versioned lock
+//       (LockWord) are only allowed inside src/stm/ and src/mvstm/ (the Tx
+//       API seam and the backends behind it). Sites elsewhere need a
+//       `// raw-ok: <reason>` annotation nearby.
 //   R3  observer contract — TxObserver callback overrides must be noexcept
 //       (callbacks run inside commit/abort paths; an escaping exception
-//       would unwind through backend code holding stripe locks).
+//       would unwind through backend code holding field locks).
 //   R4  schema drift — the StmStats X-macro field list, kCsvSchemaVersion,
 //       kBenchSchemaVersion, kTelemetrySchemaVersion and
 //       kRedoLogFormatVersion must match tools/lint/schema.lock; adding a
@@ -232,7 +233,7 @@ void CheckAtomicsDiscipline(const SourceFile& file, std::vector<Finding>* findin
 // --- R2: raw Field access scope -------------------------------------------
 
 const char* const kRawAccessors[] = {"LoadRaw", "StoreRaw", "LoadMvHistory",
-                                     "StoreMvHistory"};
+                                     "StoreMvHistory", "LockWord"};
 
 void CheckRawAccessScope(const SourceFile& file, std::vector<Finding>* findings) {
   for (size_t l = 0; l < file.code.size(); ++l) {
@@ -560,7 +561,7 @@ int RunSelfTest(const fs::path& root) {
     const char* rule;
     int min_findings;
   };
-  for (const Case& c : {Case{"bad_r1.cc", "R1", 2}, Case{"bad_r2.cc", "R2", 1},
+  for (const Case& c : {Case{"bad_r1.cc", "R1", 2}, Case{"bad_r2.cc", "R2", 3},
                         Case{"bad_r3.cc", "R3", 1}}) {
     const auto file = LoadFile(fixtures / c.file, c.file);
     if (!file) {
