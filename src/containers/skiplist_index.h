@@ -18,6 +18,16 @@
 //
 // A node is one heap block: its `height` links are laid out behind it in the
 // same allocation, so an insert allocates once and a retired node frees once.
+//
+// Searches start at the list's level (Pugh's "list level"): the height of the
+// tallest node ever linked, kept in a transactional field beside the head.
+// It never shrinks, so the head's links above it are always null, and an
+// insert that raises it takes the head as its predecessor on the new levels.
+// The level is a TxField rather than a hint: an insert that read an old level
+// would take the head as its predecessor on levels that a concurrent insert
+// has just linked and raised, and overwrite those links. Read and raised
+// transactionally, the two conflict instead. With p = 1/4 the level settles
+// while the structure is built, so writes to it are rare.
 
 #ifndef STMBENCH7_SRC_CONTAINERS_SKIPLIST_INDEX_H_
 #define STMBENCH7_SRC_CONTAINERS_SKIPLIST_INDEX_H_
@@ -35,7 +45,7 @@ namespace sb7 {
 template <typename K, typename V>
 class SkipListIndex : public Index<K, V> {
  public:
-  SkipListIndex() : head_(Node::Make(K{}, V{}, kMaxHeight)) {}
+  SkipListIndex() : head_(Node::Make(K{}, V{}, kMaxHeight)), level_(head_->unit(), 1) {}
 
   ~SkipListIndex() override {
     Node* node = head_;
@@ -48,7 +58,7 @@ class SkipListIndex : public Index<K, V> {
   }
 
   V Lookup(const K& key) const override {
-    Node* node = FindGreaterOrEqual(key, nullptr);
+    Node* node = FindGreaterOrEqual(key, level_.Get(), nullptr, nullptr);
     if (node != nullptr && node->key == key) {
       return node->value.Get();
     }
@@ -57,7 +67,9 @@ class SkipListIndex : public Index<K, V> {
 
   bool Insert(const K& key, V value) override {
     Node* preds[kMaxHeight];
-    Node* node = FindGreaterOrEqual(key, preds);
+    Node* succs[kMaxHeight];
+    const int level = level_.Get();
+    Node* node = FindGreaterOrEqual(key, level, preds, succs);
     if (node != nullptr && node->key == key) {
       node->value.Set(value);
       return false;
@@ -69,21 +81,29 @@ class SkipListIndex : public Index<K, V> {
     if (Transaction* tx = CurrentTx()) {
       tx->OnAbort([fresh] { delete fresh; });
     }
-    for (int level = 0; level < height; ++level) {
+    // No node was ever linked at or above the list level.
+    for (int l = level; l < height; ++l) {
+      preds[l] = head_;
+      succs[l] = nullptr;
+    }
+    for (int l = 0; l < height; ++l) {
       // raw-ok: the new node is thread-private until the predecessor links
       // below are written, so its own links are seeded directly.
-      fresh->next(level).StoreRaw(
-          internal::EncodeWord<Node*>(preds[level]->next(level).Get()));
+      fresh->next(l).StoreRaw(internal::EncodeWord<Node*>(succs[l]));
     }
-    for (int level = 0; level < height; ++level) {
-      preds[level]->next(level).Set(fresh);
+    for (int l = 0; l < height; ++l) {
+      preds[l]->next(l).Set(fresh);
+    }
+    if (height > level) {
+      level_.Set(height);
     }
     return true;
   }
 
   bool Remove(const K& key) override {
     Node* preds[kMaxHeight];
-    Node* node = FindGreaterOrEqual(key, preds);
+    Node* succs[kMaxHeight];
+    Node* node = FindGreaterOrEqual(key, level_.Get(), preds, succs);
     if (node == nullptr || !(node->key == key)) {
       return false;
     }
@@ -92,7 +112,7 @@ class SkipListIndex : public Index<K, V> {
       // The predecessor at this level might not point at `node` (taller
       // predecessors can skip it only if heights disagree — they cannot for
       // the matched key, but guard for robustness).
-      if (preds[level]->next(level).Get() == node) {
+      if (succs[level] == node) {
         preds[level]->next(level).Set(node->next(level).Get());
       }
     }
@@ -106,7 +126,7 @@ class SkipListIndex : public Index<K, V> {
 
   void Range(const K& lo, const K& hi,
              const std::function<bool(const K&, const V&)>& fn) const override {
-    Node* node = FindGreaterOrEqual(lo, nullptr);
+    Node* node = FindGreaterOrEqual(lo, level_.Get(), nullptr, nullptr);
     while (node != nullptr && !(hi < node->key)) {
       if (!fn(node->key, node->value.Get())) {
         return;
@@ -124,6 +144,9 @@ class SkipListIndex : public Index<K, V> {
       node = node->next(0).Get();
     }
   }
+
+  // The list level: the height of the tallest node ever linked. For tests.
+  int Level() const { return level_.Get(); }
 
   int64_t Size() const override {
     int64_t n = 0;
@@ -192,27 +215,30 @@ class SkipListIndex : public Index<K, V> {
     return height;
   }
 
-  // Returns the first node with node->key >= key (nullptr if none) and, when
-  // `preds` is non-null, the predecessor at every level.
-  Node* FindGreaterOrEqual(const K& key, Node** preds) const {
+  // Searches down from `top`, the list level, and returns the first node with
+  // node->key >= key (nullptr if none). When `preds` is non-null, fills the
+  // predecessor and its successor at every level below `top`.
+  Node* FindGreaterOrEqual(const K& key, int top, Node** preds, Node** succs) const {
     Node* pred = head_;
-    for (int level = kMaxHeight - 1; level >= 0; --level) {
-      Node* next = pred->next(level).Get();
+    Node* next = nullptr;
+    for (int level = top - 1; level >= 0; --level) {
+      next = pred->next(level).Get();
       while (next != nullptr && next->key < key) {
         pred = next;
         next = pred->next(level).Get();
       }
       if (preds != nullptr) {
         preds[level] = pred;
-      }
-      if (level == 0) {
-        return next;
+        succs[level] = next;
       }
     }
-    return nullptr;  // unreachable
+    return next;
   }
 
   Node* head_;
+  // Height of the tallest node ever linked, in [1, kMaxHeight]; a field of
+  // the head's unit.
+  TxField<int> level_;
 };
 
 }  // namespace sb7

@@ -96,6 +96,9 @@ class AtomicPart : public DesignObject {
   }
 
   CompositePart* part_of() const { return part_of_; }
+  // This part's position in part_of()->parts(); set by CompositePart::AddPart
+  // and immutable after it, so a graph walk can mark visits by index.
+  uint32_t index_in_part() const { return index_in_part_; }
 
   // Graph wiring; called only during private construction of a composite
   // part's graph, before publication. The owning composite part becomes the
@@ -108,9 +111,12 @@ class AtomicPart : public DesignObject {
   const std::vector<Connection*>& incoming() const { return from_; }
 
  private:
+  friend class CompositePart;
+
   TxField<int64_t> x_;
   TxField<int64_t> y_;
   CompositePart* part_of_ = nullptr;
+  uint32_t index_in_part_ = 0;
   std::vector<Connection*> to_;
   std::vector<Connection*> from_;
 };
@@ -184,7 +190,10 @@ class CompositePart : public DesignObject {
   void set_root_part(AtomicPart* part) { root_part_ = part; }
 
   // The graph's part set: immutable after private construction.
-  void AddPart(AtomicPart* part) { parts_.push_back(part); }
+  void AddPart(AtomicPart* part) {
+    part->index_in_part_ = static_cast<uint32_t>(parts_.size());
+    parts_.push_back(part);
+  }
   const std::vector<AtomicPart*>& parts() const { return parts_; }
 
   // Mutable many-to-many link to base assemblies (SM3/SM4/SM2/SM6).

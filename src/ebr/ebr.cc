@@ -20,6 +20,8 @@ std::vector<EbrDomain*>& AliveDomains() {
   return domains;
 }
 
+// Retire runs a reclamation pass once this many retirements have
+// accumulated since the caller's last pass.
 constexpr size_t kLimboReclaimThreshold = 512;
 constexpr uint64_t kQuiesceReclaimPeriod = 64;
 
@@ -56,6 +58,12 @@ class EbrDomain::ThreadState {
   // Appended in epoch order: Retire tags the global epoch, and one thread's
   // successive loads of it never decrease.
   std::deque<Retired> limbo_;
+  // Limbo size at which Retire runs the next pass: each pass sets it to the
+  // size it leaves plus kLimboReclaimThreshold. While this thread is online
+  // its own announcement pins the epoch, so a pass per retirement would
+  // free nothing; one per kLimboReclaimThreshold still bounds the limbo of
+  // a thread that never quiesces (e.g. the one building the structure).
+  size_t reclaim_at_ = kLimboReclaimThreshold;
   uint64_t quiesce_calls_ = 0;
   bool online_ = false;
 };
@@ -119,8 +127,8 @@ void EbrDomain::Retire(void* ptr, void (*deleter)(void*)) {
   state.limbo_.push_back(
       Retired{ptr, deleter, global_epoch_.load(std::memory_order_acquire)});
   pending_.fetch_add(1, std::memory_order_relaxed);
-  if (state.limbo_.size() >= kLimboReclaimThreshold) {
-    TryReclaim();
+  if (state.limbo_.size() >= state.reclaim_at_) {
+    Reclaim(state);
   }
 }
 
@@ -139,7 +147,7 @@ void EbrDomain::Quiesce() {
     state.online_ = true;
   }
   if (++state.quiesce_calls_ % kQuiesceReclaimPeriod == 0 || !state.limbo_.empty()) {
-    TryReclaim();
+    Reclaim(state);
   }
 }
 
@@ -191,7 +199,9 @@ void EbrDomain::FreeSafe(std::vector<Retired>& limbo, uint64_t safe_before) {
   }
 }
 
-void EbrDomain::TryReclaim() {
+void EbrDomain::TryReclaim() { Reclaim(LocalState()); }
+
+void EbrDomain::Reclaim(ThreadState& state) {
   const uint64_t min_epoch = MinAnnouncedEpoch();
   const uint64_t global = global_epoch_.load(std::memory_order_acquire);
   if (min_epoch == global) {
@@ -201,15 +211,15 @@ void EbrDomain::TryReclaim() {
     global_epoch_.compare_exchange_strong(expected, global + 1, std::memory_order_acq_rel);
   }
   // Objects retired at epoch e are safe once min >= e + 2.
-  if (min_epoch < 2) {
-    return;
+  if (min_epoch >= 2) {
+    const uint64_t safe_before = min_epoch - 1;
+    FreePrefix(state.limbo_, safe_before);
+    if (orphan_mu_.try_lock()) {
+      FreeSafe(orphans_, safe_before);
+      orphan_mu_.unlock();
+    }
   }
-  const uint64_t safe_before = min_epoch - 1;
-  FreePrefix(LocalState().limbo_, safe_before);
-  if (orphan_mu_.try_lock()) {
-    FreeSafe(orphans_, safe_before);
-    orphan_mu_.unlock();
-  }
+  state.reclaim_at_ = state.limbo_.size() + kLimboReclaimThreshold;
 }
 
 int64_t EbrDomain::DrainAll() {

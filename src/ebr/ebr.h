@@ -30,7 +30,9 @@
 // announced E + 2. A thread's limbo is in epoch order, so a reclamation pass
 // scans the kMaxThreads slots once and frees the safe prefix of the caller's
 // limbo: its cost is the objects it frees plus the slot scan, not the length
-// of the limbo.
+// of the limbo. Retire() runs a pass only once 512 retirements have
+// accumulated since the caller's previous pass, so a commit that retires
+// thousands of objects pays for a few dozen passes, not one per object.
 
 #ifndef STMBENCH7_SRC_EBR_EBR_H_
 #define STMBENCH7_SRC_EBR_EBR_H_
@@ -79,8 +81,8 @@ class EbrDomain {
   void Offline();
 
   // Attempts to advance the global epoch and free the caller's objects that
-  // became safe. Called internally from Quiesce()/Retire(); exposed for tests
-  // and for draining at shutdown.
+  // became safe. Called internally from Quiesce() and from Retire() (once
+  // per 512 retirements); exposed for tests and for draining at shutdown.
   void TryReclaim();
 
   // Frees every retired object unconditionally. Only safe when the caller
@@ -120,6 +122,9 @@ class EbrDomain {
   void UnregisterThread(int slot, std::deque<Retired>&& leftovers);
 
   ThreadState& LocalState();
+
+  // One reclamation pass on behalf of the calling thread (see TryReclaim).
+  void Reclaim(ThreadState& state);
 
   // Smallest epoch announced by any online thread (the global epoch when no
   // thread is online).

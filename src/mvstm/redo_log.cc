@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -361,6 +362,9 @@ void RedoLogWriter::WriteRaw(const char* data, size_t len) {
   size_t written = 0;
   while (written < len) {
     const ssize_t n = ::write(fd_, data + written, len - written);
+    if (n < 0 && errno == EINTR) {
+      continue;  // a signal arrived before anything was written; retry
+    }
     if (n < 0) {
       ok_ = false;
       error_ = "write to redo log '" + path_ + "' failed";

@@ -1,6 +1,8 @@
 // Short traversals ST1–ST10 (Appendix B.2.2): random paths through the
 // structure, some via indexes, some updating what they visit.
 
+#include <unordered_set>
+
 #include "src/ops/operation.h"
 #include "src/ops/traversal_helpers.h"
 

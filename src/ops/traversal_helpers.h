@@ -3,7 +3,8 @@
 #ifndef STMBENCH7_SRC_OPS_TRAVERSAL_HELPERS_H_
 #define STMBENCH7_SRC_OPS_TRAVERSAL_HELPERS_H_
 
-#include <unordered_set>
+#include <cstdint>
+#include <vector>
 
 #include "src/common/hotspot.h"
 #include "src/core/data_holder.h"
@@ -27,12 +28,16 @@ void ForEachBaseAssembly(ComplexAssembly* root, Fn&& fn) {
 // Depth-first walk over an atomic-part graph via outgoing connections,
 // starting at `root`; `fn` is applied to each part exactly once. Returns the
 // number of parts visited. The graph shape is immutable (only attributes are
-// mutable), so the visited set is plain local state.
+// mutable), so visits are marked in plain local state, by each part's
+// position in its composite part's part set.
 template <typename Fn>
 int64_t TraverseAtomicGraph(AtomicPart* root, Fn&& fn) {
-  std::unordered_set<AtomicPart*> seen;
-  std::vector<AtomicPart*> stack{root};
-  seen.insert(root);
+  const size_t parts = root->part_of()->parts().size();
+  std::vector<uint8_t> seen(parts, 0);
+  std::vector<AtomicPart*> stack;
+  stack.reserve(parts);  // each part is pushed at most once
+  stack.push_back(root);
+  seen[root->index_in_part()] = 1;
   int64_t visited = 0;
   while (!stack.empty()) {
     AtomicPart* part = stack.back();
@@ -40,8 +45,10 @@ int64_t TraverseAtomicGraph(AtomicPart* root, Fn&& fn) {
     fn(part);
     ++visited;
     for (Connection* conn : part->outgoing()) {
-      if (seen.insert(conn->to()).second) {
-        stack.push_back(conn->to());
+      AtomicPart* to = conn->to();
+      if (seen[to->index_in_part()] == 0) {
+        seen[to->index_in_part()] = 1;
+        stack.push_back(to);
       }
     }
   }

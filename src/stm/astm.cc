@@ -7,12 +7,12 @@
 namespace sb7 {
 namespace {
 
-// Conflict key for a unit-granular abort: the lock word of the unit's first
-// field, so attribution shares the word-STM key space. Null for the
-// (theoretical) field-less unit.
+// Conflict key for a unit-granular abort: the lock word of the unit's last
+// registered field, so attribution shares the word-STM key space. Null for
+// the (theoretical) field-less unit.
 const void* UnitConflictKey(const TmUnit& unit) {
-  const auto& fields = unit.fields();
-  return fields.empty() ? nullptr : static_cast<const void*>(&fields[0]->LockWord());
+  const TxFieldBase* field = unit.last_field();
+  return field == nullptr ? nullptr : static_cast<const void*>(&field->LockWord());
 }
 
 }  // namespace
@@ -177,16 +177,14 @@ AstmTx::WriteImage& AstmTx::OpenWrite(TmUnit& unit) {
   // every field word plus any out-of-line payload. This is object-level
   // logging — the cost is proportional to the object, not to the write.
   WriteImage image;
-  const auto& fields = unit.fields();
-  image.words.reserve(fields.size());
-  for (const TxFieldBase* f : fields) {
-    image.words.push_back(f->LoadRaw(std::memory_order_acquire));
+  image.words.resize(unit.field_count());
+  for (const TxFieldBase* f = unit.last_field(); f != nullptr; f = f->prev_in_unit()) {
+    image.words[f->index_in_unit()] = f->LoadRaw(std::memory_order_acquire);
   }
-  local_bytes_cloned_ += static_cast<int64_t>(fields.size() * sizeof(uint64_t));
-  if (const TmUnit::PayloadSource& source = unit.payload_source()) {
-    const std::string_view payload = source();
-    image.payload_clone.assign(payload.data(), payload.size());
-    local_bytes_cloned_ += static_cast<int64_t>(payload.size());
+  local_bytes_cloned_ += static_cast<int64_t>(image.words.size() * sizeof(uint64_t));
+  if (const TxText* text = unit.payload()) {
+    image.payload_clone = *text->PeekRaw();
+    local_bytes_cloned_ += static_cast<int64_t>(image.payload_clone.size());
   }
   write_order_.push_back(&unit);
   // mo: relaxed — heuristic open-count mirror (see astm.h).
@@ -283,9 +281,8 @@ bool AstmTx::TryCommit() {
     const WriteImage& image = write_map_[unit];
     // mo: acq_rel — odd marks flush-in-progress; readers spin on it.
     unit->astm_version.fetch_add(1, std::memory_order_acq_rel);
-    const auto& fields = unit->fields();
-    for (size_t i = 0; i < fields.size(); ++i) {
-      fields[i]->StoreRaw(image.words[i], std::memory_order_release);
+    for (TxFieldBase* f = unit->last_field(); f != nullptr; f = f->prev_in_unit()) {
+      f->StoreRaw(image.words[f->index_in_unit()], std::memory_order_release);
     }
     // mo: acq_rel bump publishes the flushed words (even again); release
     // on the owner clear lets the next acquirer see the completed flush.

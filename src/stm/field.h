@@ -11,8 +11,8 @@
 ///     to plain acquire/release atomics; with a transaction installed they
 ///     are routed through the STM.
 ///   * `TmUnit` — the per-object header: a registry of the object's fields
-///     plus the metadata the object-granular (ASTM-like) STM needs.
-///     Word-based STMs ignore it.
+///     (a list threaded through the fields themselves) plus the metadata the
+///     object-granular (ASTM-like) STM needs. Word-based STMs ignore it.
 ///   * `Transaction` — the interface every STM implements.
 ///   * `TxObserver` — the observation seam the correctness oracle and the
 ///     tracer (src/trace/) record through; a fixed-capacity multi-observer
@@ -30,7 +30,6 @@
 #include <functional>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -42,6 +41,7 @@
 namespace sb7 {
 
 class TxFieldBase;
+class TxText;
 class AstmTx;
 
 /// Thrown by STM read/write/commit paths to unwind an aborted transaction
@@ -51,26 +51,28 @@ struct TxAborted {};
 /// Per-object transactional header. Fields register themselves here at
 /// construction time; construction is always thread-private (objects become
 /// shared only when a committed transaction links them into the structure),
-/// so registration needs no synchronization.
+/// so registration needs no synchronization. The registry allocates
+/// nothing: the unit keeps its last registered field and a count, and each
+/// field keeps the field registered before it (TxFieldBase::prev_in_unit())
+/// and its index within the unit.
 class TmUnit {
  public:
   TmUnit() = default;
   TmUnit(const TmUnit&) = delete;
   TmUnit& operator=(const TmUnit&) = delete;
 
-  /// Returns the field's index within this unit (its slot in ASTM images).
-  size_t RegisterField(TxFieldBase* field) {
-    fields_.push_back(field);
-    return fields_.size() - 1;
-  }
-  const std::vector<TxFieldBase*>& fields() const { return fields_; }
+  /// Number of fields registered with this unit; their indexes are
+  /// [0, field_count()), in registration order.
+  uint32_t field_count() const { return field_count_; }
+  /// The most recently registered field (null for a field-less unit); the
+  /// others follow through TxFieldBase::prev_in_unit().
+  TxFieldBase* last_field() const { return last_field_; }
 
-  /// Large out-of-line payload (document text, index snapshot). The
-  /// ASTM-like STM clones it on write-open, reproducing object-granularity
-  /// logging cost.
-  using PayloadSource = std::function<std::string_view()>;
-  void set_payload_source(PayloadSource source) { payload_source_ = std::move(source); }
-  const PayloadSource& payload_source() const { return payload_source_; }
+  /// Large out-of-line payload (a document's or the manual's text). The
+  /// ASTM-like STM clones its body on write-open, reproducing
+  /// object-granularity logging cost.
+  void set_payload(const TxText* text) { payload_ = text; }
+  const TxText* payload() const { return payload_; }
 
   // --- metadata owned by the ASTM-like STM ---
   // Protocol atomics (ownership word + per-object seqlock): on the
@@ -99,9 +101,12 @@ class TmUnit {
   const TmUnit* Cover() const { return const_cast<TmUnit*>(this)->Cover(); }
 
  private:
-  std::vector<TxFieldBase*> fields_;
-  PayloadSource payload_source_;
+  friend class TxFieldBase;  // registers itself in the constructor
+
+  TxFieldBase* last_field_ = nullptr;
+  const TxText* payload_ = nullptr;
   TmUnit* cover_ = this;
+  uint32_t field_count_ = 0;
   bool topology_ = false;
 };
 
@@ -458,8 +463,13 @@ void FreeMvHistoryHead(void* head);
 /// STM), or in the per-field version chain (multi-version STM).
 class TxFieldBase {
  public:
-  TxFieldBase(TmUnit& owner, uint64_t initial) : word_(initial), owner_(&owner) {
-    index_in_unit_ = owner.RegisterField(this);
+  TxFieldBase(TmUnit& owner, uint64_t initial)
+      : word_(initial),
+        owner_(&owner),
+        prev_in_unit_(owner.last_field_),
+        index_in_unit_(owner.field_count_) {
+    owner.last_field_ = this;
+    ++owner.field_count_;
     if (HasTxObservers()) {
       NotifyTxObservers(
           [&](TxObserver& observer) { observer.OnFieldBirth(*this, initial); });
@@ -477,7 +487,11 @@ class TxFieldBase {
   }
 
   TmUnit& owner() const { return *owner_; }
-  size_t index_in_unit() const { return index_in_unit_; }
+  /// This field's slot in its unit (its word's position in ASTM images).
+  uint32_t index_in_unit() const { return index_in_unit_; }
+  /// The field of the same unit registered just before this one; null for
+  /// the unit's first field.
+  TxFieldBase* prev_in_unit() const { return prev_in_unit_; }
 
   // Raw access, used by the STM implementations and by the lock-mode fall-
   // through. Not for use by benchmark code (enforced by sb7-lint): Get/Set
@@ -528,7 +542,8 @@ class TxFieldBase {
   sp::AtomicU64 word_;
   sp::Atomic<void*> mv_history_{nullptr};
   TmUnit* owner_;
-  size_t index_in_unit_ = 0;
+  TxFieldBase* prev_in_unit_;
+  uint32_t index_in_unit_;
 };
 
 namespace internal {
@@ -590,13 +605,13 @@ class TxField : public TxFieldBase {
 /// retiring the old body through EBR once no thread can still be reading
 /// it. This gives word-based STMs a single logical location for the whole
 /// text, while the object-granular STM additionally pays the whole-body
-/// clone on write-open via the owning unit's payload source — exactly the
-/// "large object" pathology §5 analyses.
+/// clone on write-open through the owning unit's payload pointer — exactly
+/// the "large object" pathology §5 analyses.
 class TxText {
  public:
   TxText(TmUnit& owner, std::string initial)
       : field_(owner, new std::string(std::move(initial))) {
-    owner.set_payload_source([this] { return std::string_view(*PeekRaw()); });
+    owner.set_payload(this);
   }
 
   ~TxText() {
@@ -627,6 +642,8 @@ class TxText {
   }
 
  private:
+  friend class AstmTx;
+
   // Non-transactional peek used only by the ASTM payload-clone cost model.
   const std::string* PeekRaw() const {
     return internal::DecodeWord<const std::string*>(field_.LoadRaw());

@@ -1,6 +1,7 @@
 #include "src/strategy/fine.h"
 
 #include <algorithm>
+#include <unordered_set>
 #include <vector>
 
 #include "src/ops/traversal_helpers.h"

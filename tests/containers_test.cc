@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <thread>
+#include <vector>
 
 #include "src/containers/skiplist_index.h"
 #include "src/containers/snapshot_index.h"
@@ -440,6 +443,116 @@ TEST(IndexAuditTest, TransactionalRemoveOfAbsentKeyCommitsNothing) {
     EXPECT_EQ(index->Size(), 1) << kind;
     EXPECT_EQ(index->Lookup(1), &value) << kind;
   }
+  EbrDomain::Global().DrainAll();
+}
+
+// Lookup, Range and ForEach must all find exactly `keys` (sorted), each
+// mapped to 3 * key.
+void ExpectSkipListHolds(const SkipListIndex<int64_t, int64_t>& index,
+                         const std::set<int64_t>& keys) {
+  for (const int64_t key : keys) {
+    ASSERT_EQ(index.Lookup(key), 3 * key) << key;
+    int64_t hits = 0;
+    index.Range(key, key, [&](const int64_t& found, const int64_t&) {
+      EXPECT_EQ(found, key);
+      ++hits;
+      return true;
+    });
+    ASSERT_EQ(hits, 1) << key;
+  }
+  const std::vector<int64_t> want(keys.begin(), keys.end());
+  std::vector<int64_t> via_for_each;
+  index.ForEach([&](const int64_t& key, const int64_t& value) {
+    EXPECT_EQ(value, 3 * key);
+    via_for_each.push_back(key);
+    return true;
+  });
+  EXPECT_EQ(via_for_each, want);
+  std::vector<int64_t> via_range;
+  index.Range(std::numeric_limits<int64_t>::min(), std::numeric_limits<int64_t>::max(),
+              [&](const int64_t& key, const int64_t&) {
+                via_range.push_back(key);
+                return true;
+              });
+  EXPECT_EQ(via_range, want);
+}
+
+TEST(IndexAuditTest, SkipListFindsEveryKeyAfterItsLevelRises) {
+  // Searches start at the list level, so a node taller than every node
+  // before it must be linked on the new levels from the head, and the keys
+  // already present must stay reachable from the higher start.
+  SkipListIndex<int64_t, int64_t> index;
+  EXPECT_EQ(index.Level(), 1);
+  std::set<int64_t> keys;
+  int rises_while_populated = 0;
+  constexpr int64_t kKeys = 3001;  // prime: i * 7919 % kKeys shuffles [0, kKeys)
+  for (int64_t i = 0; i < kKeys; ++i) {
+    const int64_t key = i * 7919 % kKeys;
+    const int level = index.Level();
+    ASSERT_TRUE(index.Insert(key, 3 * key));
+    keys.insert(key);
+    ASSERT_GE(index.Level(), level);  // the level never shrinks
+    if (index.Level() > level && i > 0) {
+      ++rises_while_populated;
+      ExpectSkipListHolds(index, keys);
+    }
+  }
+  EXPECT_GE(rises_while_populated, 3);
+  const int top = index.Level();
+  for (int64_t key = 0; key < kKeys; key += 2) {
+    keys.erase(key);
+    ASSERT_TRUE(index.Remove(key)) << key;
+    ASSERT_EQ(index.Lookup(key), 0) << key;
+  }
+  EXPECT_EQ(index.Level(), top);
+  EXPECT_EQ(index.Size(), static_cast<int64_t>(keys.size()));
+  ExpectSkipListHolds(index, keys);
+  EbrDomain::Global().DrainAll();
+}
+
+// A key's node height: the level of a list that holds only that key.
+int HeightOf(int64_t key) {
+  SkipListIndex<int64_t, int64_t> probe;
+  probe.Insert(key, 0);
+  return probe.Level();
+}
+
+TEST(IndexAuditTest, AbortedLevelRiseLeavesLevelAndContentsUnchanged) {
+  auto stm = MakeStm("tl2");
+  SkipListIndex<int64_t, int64_t> index;
+  std::set<int64_t> keys;
+  for (int64_t key = 0; keys.size() < 8; ++key) {
+    if (HeightOf(key) == 1) {
+      index.Insert(key, 3 * key);
+      keys.insert(key);
+    }
+  }
+  ASSERT_EQ(index.Level(), 1);
+  int64_t tall = *keys.rbegin() + 1;
+  while (HeightOf(tall) == 1) {
+    ++tall;
+  }
+  int attempts = 0;
+  stm->RunAtomically([&](Transaction&) {
+    if (++attempts == 1) {
+      ASSERT_TRUE(index.Insert(tall, 3 * tall));
+      ASSERT_GT(index.Level(), 1);  // the attempt sees its own rise
+      throw TxAborted{};
+    }
+    // The retry sees the state the aborted attempt started from.
+    EXPECT_EQ(index.Level(), 1);
+    EXPECT_EQ(index.Lookup(tall), 0);
+  });
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(index.Level(), 1);
+  EXPECT_EQ(index.Lookup(tall), 0);
+  EXPECT_EQ(index.Size(), static_cast<int64_t>(keys.size()));
+  ExpectSkipListHolds(index, keys);
+  // A committed rise sticks, and the new node is found from the new top.
+  stm->RunAtomically([&](Transaction&) { index.Insert(tall, 3 * tall); });
+  keys.insert(tall);
+  EXPECT_GT(index.Level(), 1);
+  ExpectSkipListHolds(index, keys);
   EbrDomain::Global().DrainAll();
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -176,6 +177,89 @@ TEST(EbrTest, OfflineReleasesALaggardUntilItsNextQuiesce) {
 
   step = 6;
   laggard.join();
+}
+
+TEST(EbrTest, AnOnlineBurstIsFreedTwoRoundsAfterItsNextQuiesce) {
+  // The shape of a commit that unlinks thousands of nodes: the retiring
+  // thread is online, so its own announcement pins the epoch, and nothing of
+  // the burst can be freed before its next Quiesce.
+  EbrDomain domain;
+  std::atomic<int> destroyed{0};
+  constexpr int kRetired = 20000;
+  domain.Quiesce();
+  for (int i = 0; i < kRetired; ++i) {
+    domain.RetireObject(new Tracked(destroyed));
+  }
+  EXPECT_EQ(destroyed.load(), 0);
+  EXPECT_EQ(domain.PendingCount(), kRetired);
+  domain.Quiesce();
+  QuiesceAndReclaim(domain, 2);
+  EXPECT_EQ(destroyed.load(), kRetired);
+  EXPECT_EQ(domain.PendingCount(), 0);
+}
+
+TEST(EbrTest, AnOfflineRetirerGetsOnePassPer512Retirements) {
+  // A thread that never quiesces (the one building the structure) relies on
+  // Retire's own passes. With no thread online, every pass opens a new
+  // epoch, so the epoch counts the passes.
+  EbrDomain domain;
+  std::atomic<int> destroyed{0};
+  constexpr int kRetired = 10000;
+  const uint64_t before = domain.global_epoch();
+  int64_t peak = 0;
+  for (int i = 0; i < kRetired; ++i) {
+    domain.RetireObject(new Tracked(destroyed));
+    peak = std::max(peak, domain.PendingCount());
+  }
+  EXPECT_LT(peak, 2048);
+  const uint64_t passes = domain.global_epoch() - before;
+  EXPECT_GE(passes, uint64_t{kRetired / 512 - 1});
+  EXPECT_LE(passes, uint64_t{kRetired / 512 + 1});
+  EXPECT_EQ(destroyed.load() + domain.PendingCount(), kRetired);
+  domain.DrainAll();
+  EXPECT_EQ(destroyed.load(), kRetired);
+}
+
+TEST(EbrTest, AStalledReaderPinsTheEpochUntilItQuiescesAgain) {
+  EbrDomain domain;
+  domain.Quiesce();
+  std::atomic<int> destroyed{0};
+  std::atomic<int> step{0};
+  std::thread reader([&] {
+    domain.Quiesce();
+    step = 1;
+    WaitUntil(step, 2);  // stalled: online, announcing nothing new
+    while (step.load() < 3) {
+      domain.Quiesce();
+      std::this_thread::yield();
+    }
+    domain.Offline();
+  });
+
+  WaitUntil(step, 1);
+  const uint64_t stalled_at = domain.global_epoch();
+  constexpr int kBatches = 20;
+  constexpr int kPerBatch = 100;
+  for (int b = 1; b <= kBatches; ++b) {
+    for (int i = 0; i < kPerBatch; ++i) {
+      domain.RetireObject(new Tracked(destroyed));
+    }
+    QuiesceAndReclaim(domain, 1);
+    ASSERT_EQ(domain.PendingCount(), b * kPerBatch) << "limbo must grow under a stall";
+  }
+  EXPECT_EQ(destroyed.load(), 0);
+  EXPECT_LE(domain.global_epoch() - stalled_at, 2u) << "the stalled reader pins the epoch";
+
+  step = 2;  // the reader quiesces again
+  for (int round = 0; round < 100000 && domain.PendingCount() != 0; ++round) {
+    QuiesceAndReclaim(domain, 1);
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(domain.PendingCount(), 0);
+  EXPECT_EQ(destroyed.load(), kBatches * kPerBatch);
+  EXPECT_GT(domain.global_epoch() - stalled_at, 2u);
+  step = 3;
+  reader.join();
 }
 
 struct Logged {

@@ -34,8 +34,12 @@ TEST(TxFieldTest, DirectModeRoundTripsTypes) {
 
 TEST(TxFieldTest, FieldsRegisterWithOwningUnit) {
   Widget widget;
-  ASSERT_EQ(widget.unit().fields().size(), 3u);
-  EXPECT_EQ(widget.unit().fields()[0], &widget.count);
+  // The unit's field list runs from the last registered field backwards.
+  ASSERT_EQ(widget.unit().field_count(), 3u);
+  EXPECT_EQ(widget.unit().last_field(), &widget.next);
+  EXPECT_EQ(widget.next.prev_in_unit(), &widget.flag);
+  EXPECT_EQ(widget.flag.prev_in_unit(), &widget.count);
+  EXPECT_EQ(widget.count.prev_in_unit(), nullptr);
   EXPECT_EQ(widget.count.index_in_unit(), 0u);
   EXPECT_EQ(widget.flag.index_in_unit(), 1u);
   EXPECT_EQ(widget.next.index_in_unit(), 2u);
@@ -85,11 +89,11 @@ TEST(TxTextTest, DirectModeGetSet) {
   EbrDomain::Global().DrainAll();  // old body retired through EBR
 }
 
-TEST(TxTextTest, RegistersPayloadSource) {
+TEST(TxTextTest, RegistersPayload) {
   TmObject holder;
   TxText text(holder.unit(), "payload-bytes");
-  ASSERT_TRUE(static_cast<bool>(holder.unit().payload_source()));
-  EXPECT_EQ(holder.unit().payload_source()(), "payload-bytes");
+  ASSERT_EQ(holder.unit().payload(), &text);
+  EXPECT_EQ(holder.unit().payload()->Get(), "payload-bytes");
 }
 
 TEST(TxTextTest, CommitHookRetiresOldBody) {

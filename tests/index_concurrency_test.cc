@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/check/fingerprint.h"
@@ -163,6 +166,106 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Params>& info) {
       return std::string(info.param.stm) + "_" + info.param.index;
     });
+
+// Range scans while the skip list's level rises: the index starts empty and
+// one writer links pairs of keys {k, k + kOffset} in one transaction each,
+// so the list level climbs as taller nodes arrive. Every scan must be sorted
+// and hold whole pairs only, and the final list must hold every key.
+class LevelRiseTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(LevelRiseTest, RangeScansSeeConsistentSnapshotsWhileTheLevelRises) {
+  SkipListIndex<int64_t, int64_t> index;
+  auto stm = MakeStm(GetParam());
+  ASSERT_NE(stm, nullptr);
+  const bool snapshot_reads = std::string(GetParam()) == "mvstm";
+  constexpr int64_t kPairs = 600;
+  constexpr int64_t kOffset = 1 << 20;
+  constexpr int kReaders = 2;
+  std::atomic<bool> stop{false};
+  std::atomic<int> readers_started{0};
+  std::atomic<int64_t> bad_scans{0};
+  std::atomic<int64_t> partial_scans{0};
+
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    while (readers_started.load() < kReaders) {
+      std::this_thread::yield();
+    }
+    for (int64_t i = 0; i < kPairs; ++i) {
+      const int64_t key = (i * 7919) % kPairs;  // a fixed shuffle
+      stm->RunAtomically([&](Transaction&) {
+        index.Insert(key, i);
+        index.Insert(key + kOffset, i);
+      });
+      EbrDomain::Global().Quiesce();
+      // Leave room between inserts: a tl2 scan that overlaps one aborts.
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    EbrDomain::Global().Offline();
+  });
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      bool first = true;
+      while (!stop.load(std::memory_order_acquire)) {
+        std::vector<std::pair<int64_t, int64_t>> seen;
+        stm->RunAtomically(
+            [&](Transaction&) {
+              seen.clear();
+              index.Range(std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::max(),
+                          [&](const int64_t& key, const int64_t& value) {
+                            seen.emplace_back(key, value);
+                            return true;
+                          });
+            },
+            /*read_only=*/snapshot_reads);
+        EbrDomain::Global().Quiesce();
+        // Sorted, and the low half pairs up with the high half in order.
+        bool ok = seen.size() % 2 == 0;
+        const size_t half = seen.size() / 2;
+        for (size_t i = 0; ok && i < seen.size(); ++i) {
+          ok = (i == 0 || seen[i - 1].first < seen[i].first) &&
+               (i < half ? seen[i].first < kOffset : seen[i].first >= kOffset);
+        }
+        for (size_t i = 0; ok && i < half; ++i) {
+          ok = seen[i + half].first == seen[i].first + kOffset &&
+               seen[i + half].second == seen[i].second;
+        }
+        if (!ok) {
+          bad_scans.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (!seen.empty() && seen.size() < 2 * kPairs) {
+          partial_scans.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (first) {
+          first = false;
+          readers_started.fetch_add(1);
+        }
+      }
+      EbrDomain::Global().Offline();
+    });
+  }
+  threads[0].join();
+  stop.store(true, std::memory_order_release);
+  for (size_t t = 1; t < threads.size(); ++t) {
+    threads[t].join();
+  }
+
+  EXPECT_GT(partial_scans.load(), 0) << "no scan overlapped the inserts";
+  EXPECT_EQ(bad_scans.load(), 0) << "a scan saw an unsorted or half-applied state";
+  EXPECT_GT(index.Level(), 2);
+  EXPECT_EQ(index.Size(), 2 * kPairs);
+  if (snapshot_reads) {
+    EXPECT_EQ(stm->stats().ro_aborts.load(), 0)
+        << "mvstm snapshot scans must be abort-free";
+  }
+  EbrDomain::Global().DrainAll();
+}
+
+INSTANTIATE_TEST_SUITE_P(Stms, LevelRiseTest, ::testing::Values("tl2", "mvstm"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 // The oracle fingerprint is also what makes single-threaded runs comparable
 // across backends: the same deterministic key-move sequence applied under

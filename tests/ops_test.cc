@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
+#include <vector>
 
 #include "src/core/invariants.h"
 #include "src/core/builder.h"
 #include "src/stm/stm_factory.h"
 #include "src/ops/operation.h"
+#include "src/ops/traversal_helpers.h"
 
 namespace sb7 {
 namespace {
@@ -118,6 +121,50 @@ TEST_F(OpsTest, LongTraversalCountsMatchStructure) {
   EXPECT_GE(q6, 0);
   EXPECT_LE(q6, params.complex_assembly_count());
   EXPECT_TRUE(CheckInvariants(*dh).ok());
+}
+
+TEST_F(OpsTest, GraphWalkVisitsEveryPartOnceRootFirstInDepthFirstOrder) {
+  DataHolder::Setup setup;
+  setup.params = Parameters::Small();
+  setup.index_kind = IndexKind::kStdMap;
+  setup.seed = 77;
+  DataHolder dh(setup);
+  int64_t graphs = 0;
+  dh.composite_part_id_index().ForEach([&](const int64_t&, CompositePart* const& part) {
+    const std::vector<AtomicPart*>& parts = part->parts();
+    for (size_t i = 0; i < parts.size(); ++i) {
+      EXPECT_EQ(parts[i]->index_in_part(), i);
+    }
+    std::vector<AtomicPart*> order;
+    const int64_t visited =
+        TraverseAtomicGraph(part->root_part(), [&](AtomicPart* atom) { order.push_back(atom); });
+    EXPECT_EQ(visited, static_cast<int64_t>(parts.size()));
+    EXPECT_EQ(order.front(), part->root_part());
+    std::vector<int> visits(parts.size(), 0);
+    for (AtomicPart* atom : order) {
+      ++visits[atom->index_in_part()];
+    }
+    EXPECT_EQ(visits, std::vector<int>(parts.size(), 1));
+    // The same stack discipline as a walk that marks visits in a set: push
+    // each unseen target of the popped part in connection order.
+    std::vector<AtomicPart*> want;
+    std::set<AtomicPart*> seen{part->root_part()};
+    std::vector<AtomicPart*> stack{part->root_part()};
+    while (!stack.empty()) {
+      AtomicPart* atom = stack.back();
+      stack.pop_back();
+      want.push_back(atom);
+      for (Connection* conn : atom->outgoing()) {
+        if (seen.insert(conn->to()).second) {
+          stack.push_back(conn->to());
+        }
+      }
+    }
+    EXPECT_EQ(order, want);
+    ++graphs;
+    return true;
+  });
+  EXPECT_EQ(graphs, dh.params().initial_composite_parts);
 }
 
 TEST_F(OpsTest, UpdateTraversalsAreInvolutionsOnTheStructure) {

@@ -21,10 +21,17 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <limits.h>
+#include <pthread.h>
 #include <signal.h>
+#include <sys/ioctl.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <set>
@@ -742,6 +749,114 @@ TEST(LiveVsReplayTest, TornTailOfARealLogRecoversThePrefix) {
   EXPECT_FALSE(boundary.summary.corrupt);
   EXPECT_FALSE(boundary.summary.clean_close);
   EXPECT_EQ(boundary.summary.groups, groups_total);
+}
+
+// ------------------------------------------------------ interrupted writes --
+
+std::atomic<int> g_interrupts{0};
+
+void CountInterrupt(int) { g_interrupts.fetch_add(1); }
+
+// A signal that lands while the writer is blocked in write() must not cost a
+// frame: the log is a FIFO whose reader pauses until the pipe is full, and
+// SIGUSR1's handler is installed without SA_RESTART, so the blocked write()
+// fails with EINTR. Frames stay below PIPE_BUF, so such a write is atomic
+// and blocks before writing anything (it cannot return a short count).
+TEST(RedoWriterTest, WriteInterruptedBySignalIsRetried) {
+  const std::string fifo = ScratchLog("fifo");
+  ::unlink(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  // The read end opens first, so opening the write end does not block.
+  const int reader = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(reader, 0);
+  const int capacity = ::fcntl(reader, F_GETPIPE_SZ);
+  ASSERT_GT(capacity, 0);
+
+  struct sigaction action = {};
+  action.sa_handler = &CountInterrupt;
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = 0;  // no SA_RESTART
+  struct sigaction previous = {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
+
+  auto make_group = [](uint64_t seq) {
+    GroupRecord group;
+    group.group_seq = seq;
+    group.commit_ts = seq + 1;
+    for (uint64_t m = 0; m < 4; ++m) {
+      group.members.push_back(MakeMember(static_cast<uint16_t>(m), seq * 4 + m));
+    }
+    return group;
+  };
+  std::string frame;
+  AppendRecordFrame(&frame, EncodeGroup(make_group(0)));
+  ASSERT_LT(frame.size(), size_t{PIPE_BUF});
+  // Three pipes' worth: the writer blocks long before it is done.
+  const uint64_t groups_total = 3 * static_cast<uint64_t>(capacity) / frame.size();
+
+  std::atomic<uint64_t> appended{0};
+  bool writer_ok = false;
+  std::string writer_error;
+  std::thread writer_thread([&] {
+    RedoLogWriter writer(fifo, Durability::kOff);  // a FIFO cannot be fsynced
+    writer.WriteFileHeader(5, "tiny", "mvstm");
+    for (uint64_t seq = 0; seq < groups_total; ++seq) {
+      writer.AppendGroup(make_group(seq));
+      appended.store(seq + 1);
+    }
+    writer_ok = writer.ok();
+    writer_error = writer.error();
+  });  // the writer's destructor closes the FIFO: the reader sees EOF
+
+  // Wait until the writer is blocked on the full pipe: no progress for
+  // 50 ms with at least half the pipe queued.
+  uint64_t seen = ~uint64_t{0};
+  for (int stable_ms = 0; stable_ms < 50;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    int queued = 0;
+    ASSERT_EQ(::ioctl(reader, FIONREAD, &queued), 0);
+    const uint64_t now = appended.load();
+    stable_ms = (now == seen && queued > capacity / 2) ? stable_ms + 1 : 0;
+    seen = now;
+  }
+  ASSERT_LT(seen, groups_total);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(::pthread_kill(writer_thread.native_handle(), SIGUSR1), 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+
+  // Resume the reader and drain the FIFO to EOF.
+  ASSERT_EQ(::fcntl(reader, F_SETFL, 0), 0);
+  std::string bytes;
+  char buffer[1 << 16];
+  for (;;) {
+    const ssize_t n = ::read(reader, buffer, sizeof(buffer));
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    ASSERT_GE(n, 0);
+    if (n == 0) {
+      break;
+    }
+    bytes.append(buffer, static_cast<size_t>(n));
+  }
+  writer_thread.join();
+  ::sigaction(SIGUSR1, &previous, nullptr);
+  ::close(reader);
+  ::unlink(fifo.c_str());
+
+  EXPECT_GE(g_interrupts.load(), 1);
+  EXPECT_TRUE(writer_ok) << writer_error;
+  std::vector<GroupRecord> groups;
+  RecoverySummary summary;
+  ScanLog(bytes, &groups, &summary);
+  EXPECT_TRUE(summary.header_ok);
+  EXPECT_FALSE(summary.torn_tail) << summary.detail;
+  EXPECT_FALSE(summary.corrupt) << summary.detail;
+  ASSERT_EQ(groups.size(), groups_total) << "frames were lost after the interrupt";
+  for (uint64_t seq = 0; seq < groups_total; ++seq) {
+    EXPECT_EQ(groups[seq].group_seq, seq);
+  }
 }
 
 }  // namespace
