@@ -45,7 +45,8 @@ namespace sb7 {
 template <typename K, typename V>
 class SkipListIndex : public Index<K, V> {
  public:
-  SkipListIndex() : head_(Node::Make(K{}, V{}, kMaxHeight)), level_(head_->unit(), 1) {}
+  SkipListIndex()
+      : head_(Node::Make(K{}, V{}, kMaxHeight, nullptr)), level_(head_->unit(), 1) {}
 
   ~SkipListIndex() override {
     Node* node = head_;
@@ -75,21 +76,17 @@ class SkipListIndex : public Index<K, V> {
       return false;
     }
     const int height = HeightFor(key);
-    Node* fresh = Node::Make(key, value, height);
-    // Registered before the first transactional access: the reads and writes
-    // below may abort the attempt, and the node is not yet shared.
-    if (Transaction* tx = CurrentTx()) {
-      tx->OnAbort([fresh] { delete fresh; });
-    }
     // No node was ever linked at or above the list level.
     for (int l = level; l < height; ++l) {
       preds[l] = head_;
       succs[l] = nullptr;
     }
-    for (int l = 0; l < height; ++l) {
-      // raw-ok: the new node is thread-private until the predecessor links
-      // below are written, so its own links are seeded directly.
-      fresh->next(l).StoreRaw(internal::EncodeWord<Node*>(succs[l]));
+    // The new node's links are born pointing at its successors.
+    Node* fresh = Node::Make(key, value, height, succs);
+    // Registered before the first transactional access: the writes below
+    // may abort the attempt, and the node is not yet shared.
+    if (Transaction* tx = CurrentTx()) {
+      tx->OnAbort([fresh] { delete fresh; });
     }
     for (int l = 0; l < height; ++l) {
       preds[l]->next(l).Set(fresh);
@@ -168,10 +165,12 @@ class SkipListIndex : public Index<K, V> {
   // creates nodes; `delete node` (and EBR's RetireObject) runs ~Node, which
   // destroys the links, and the class operator delete frees the block.
   struct Node : TmObject {
-    static Node* Make(const K& node_key, const V& node_value, int node_height) {
+    // Link i starts at succs[i]; all links start null when succs is null.
+    static Node* Make(const K& node_key, const V& node_value, int node_height,
+                      Node* const* succs) {
       void* block =
           ::operator new(sizeof(Node) + static_cast<size_t>(node_height) * sizeof(Link));
-      return new (block) Node(node_key, node_value, node_height);
+      return new (block) Node(node_key, node_value, node_height, succs);
     }
     static void operator delete(void* block) { ::operator delete(block); }
 
@@ -192,10 +191,10 @@ class SkipListIndex : public Index<K, V> {
     static_assert(alignof(Link) <= alignof(TmObject),
                   "links must be aligned when laid out behind the node");
 
-    Node(const K& node_key, const V& node_value, int node_height)
+    Node(const K& node_key, const V& node_value, int node_height, Node* const* succs)
         : key(node_key), value(unit(), node_value), height_(node_height) {
       for (int i = 0; i < node_height; ++i) {
-        new (&links()[i]) Link(unit(), nullptr);
+        new (&links()[i]) Link(unit(), succs != nullptr ? succs[i] : nullptr);
       }
     }
 

@@ -96,7 +96,9 @@ class SnapshotIndex : public Index<K, V>, public TmObject {
   }
 
   void Publish(const Map* old_map, Map* fresh) {
-    Transaction* tx = CurrentTx();
+    // An index that the running attempt built keeps `fresh` even if the
+    // attempt aborts, so `old_map` is retired at once (see TxText::Set).
+    Transaction* tx = unit().captured() ? nullptr : CurrentTx();
     // Registered before Set, which may abort the attempt (tinystm, astm).
     if (tx != nullptr) {
       tx->OnAbort([fresh] { delete fresh; });

@@ -156,7 +156,10 @@ class TxVector : public TmObject {
 
   Chunk* Grow(Chunk* old_chunk, int64_t size) {
     auto* fresh = new Chunk(unit(), 0);
-    Transaction* tx = CurrentTx();
+    // A vector that the running attempt built keeps `fresh` even if the
+    // attempt aborts (its destructor frees it then), so `old_chunk` is
+    // retired at once (see TxText::Set).
+    Transaction* tx = unit().captured() ? nullptr : CurrentTx();
     // Registered before the seeding reads, which may abort the attempt.
     if (tx != nullptr) {
       tx->OnAbort([fresh] { delete fresh; });

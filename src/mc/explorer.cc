@@ -162,7 +162,8 @@ ScheduleTrace RunOne(const Litmus& litmus, const ExploreOptions& options,
 
 }  // namespace
 
-ExploreResult Explore(const Litmus& litmus, const ExploreOptions& options) {
+ExploreResult Explore(const Litmus& litmus, const ExploreOptions& options,
+                      const FirstFailureFn& on_first_failure) {
   ExploreResult result;
   std::vector<BranchPoint> stack;
   stack.push_back(BranchPoint{{}, -1, {}});
@@ -193,6 +194,9 @@ ExploreResult Explore(const Litmus& litmus, const ExploreOptions& options) {
       ++result.failures;
       if (!result.first_failure) {
         result.first_failure = trace;
+        if (on_first_failure) {
+          on_first_failure(*result.first_failure, result.schedules);
+        }
       }
     }
     std::vector<int> tids;

@@ -26,6 +26,7 @@
 #ifdef SB7_MC
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -67,8 +68,15 @@ struct ExploreResult {
   std::vector<std::vector<int>> schedule_tids;
 };
 
+/// Called once per exploration, as soon as the first failing schedule has
+/// run; `schedule` is its 1-based position in exploration order. Lets a
+/// caller report a failure before the rest of the budget is explored (and
+/// keep it if the run is then cut off).
+using FirstFailureFn = std::function<void(const ScheduleTrace& failure, uint64_t schedule)>;
+
 /// Explores `litmus` under `options`.
-ExploreResult Explore(const Litmus& litmus, const ExploreOptions& options);
+ExploreResult Explore(const Litmus& litmus, const ExploreOptions& options,
+                      const FirstFailureFn& on_first_failure = nullptr);
 
 /// One step of a trace as read back from a trace file: addresses do not
 /// survive a process boundary, so the operand is carried as its symbolic

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "src/check/history.h"
+#include "src/ebr/ebr.h"
 #include "src/mc/scheduler.h"
 #include "src/mc/sync_point.h"
 #include "src/mvstm/group_commit.h"
@@ -378,6 +379,121 @@ Litmus MakeStmWriteSkew(std::string_view backend) {
   return litmus;
 }
 
+// Aborted write: the writer stores x = 1 in place (tinystm writes through)
+// and aborts once; its retry writes nothing, so no committed state ever
+// holds 1. A reader whose pre/post lock loads bracket the store and its
+// undo must not accept the 1 — which it did while tinystm released an
+// aborted attempt's locks at their pre-lock words.
+Litmus MakeStmAbortedWrite(std::string_view backend) {
+  auto cells = std::make_shared<StmCells>(backend);
+  auto writer_attempts = std::make_shared<int>(0);
+  Litmus litmus;
+  litmus.name = "stm-aborted-write-" + std::string(backend);
+  litmus.summary = "a write whose attempt aborted is never read: x = 1 then abort";
+  litmus.expect_violation = false;
+  litmus.setup = [cells, writer_attempts] {
+    StmSetup(cells);
+    *writer_attempts = 0;
+  };
+  litmus.bodies = {
+      [cells, writer_attempts] {
+        cells->stm->RunAtomically([&](Transaction&) {
+          if ((*writer_attempts)++ == 0) {
+            cells->x.value.Set(1);
+            throw TxAborted{};
+          }
+        });
+      },
+      [cells] {
+        cells->stm->RunAtomically([&](Transaction&) { cells->r1 = cells->x.value.Get(); });
+      },
+  };
+  litmus.check = [cells]() -> std::string {
+    if (std::string failure = OpacityFailure(*cells); !failure.empty()) {
+      return failure;
+    }
+    if (cells->r1 == 1) {
+      return "read x == 1, a value only an aborted attempt wrote";
+    }
+    return std::string();
+  };
+  return litmus;
+}
+
+// Captured-memory publication: the writer builds a pair inside its attempt,
+// sets both fields (served without the STM: the attempt built the pair) and
+// links it through a transactional write. A reader that sees the link must
+// see both fields set.
+struct McPair : TmObject {
+  McPair() : a(unit(), 0), b(unit(), 0) {}
+  TxField<int64_t> a, b;
+};
+
+struct CapturePublishCells : StmCells {
+  using StmCells::StmCells;
+  TmObject holder;
+  TxField<McPair*> link{holder.unit(), nullptr};
+};
+
+Litmus MakeStmCapturePublish(std::string_view backend) {
+  auto cells = std::make_shared<CapturePublishCells>(backend);
+  Litmus litmus;
+  litmus.name = "stm-capture-publish-" + std::string(backend);
+  litmus.summary = "a pair built and set inside an attempt is seen whole through its link";
+  litmus.expect_violation = false;
+  litmus.setup = [cells] {
+    // Unlinked through the STM: a direct store would leave mvstm's version
+    // chain naming the previous execution's pair after it is freed, and a
+    // snapshot reader could walk to it. No execution is running, so the
+    // pair can then be freed outright.
+    McPair* previous = nullptr;
+    cells->stm->RunAtomically([&](Transaction&) {
+      previous = cells->link.Get();
+      cells->link.Set(nullptr);
+    });
+    // The transaction brought this thread online in EBR; it must not hold
+    // the epoch back while the execution's threads retire version nodes.
+    EbrDomain::Global().Offline();
+    delete previous;
+    StmSetup(cells);
+  };
+  litmus.bodies = {
+      [cells] {
+        cells->stm->RunAtomically([&](Transaction& tx) {
+          auto* pair = new McPair();
+          tx.OnAbort([pair] { delete pair; });
+          pair->a.Set(1);
+          pair->b.Set(2);
+          cells->link.Set(pair);
+        });
+      },
+      // Read-only hint: under mvstm the pair is read from a snapshot.
+      [cells] {
+        cells->stm->RunAtomically(
+            [&](Transaction&) {
+              cells->r1 = cells->r2 = -1;
+              if (McPair* pair = cells->link.Get()) {
+                cells->r1 = pair->a.Get();
+                cells->r2 = pair->b.Get();
+              }
+            },
+            /*read_only=*/true);
+      },
+  };
+  litmus.check = [cells]() -> std::string {
+    if (std::string failure = OpacityFailure(*cells); !failure.empty()) {
+      return failure;
+    }
+    if (cells->r1 != -1 && (cells->r1 != 1 || cells->r2 != 2)) {
+      std::ostringstream out;
+      out << "saw the link but not the fields: a == " << cells->r1 << ", b == " << cells->r2;
+      return out.str();
+    }
+    return std::string();
+  };
+  return litmus;
+}
+
 // --- group-commit litmus: the durability protocol under the explorer -------
 
 // mvstm with the group-commit sequencer attached, logging to an in-memory
@@ -526,6 +642,8 @@ std::vector<Litmus> BuildAll() {
     all.push_back(MakeStmSnapshot(backend));
     all.push_back(MakeStmIncrementPair(backend));
     all.push_back(MakeStmWriteSkew(backend));
+    all.push_back(MakeStmAbortedWrite(backend));
+    all.push_back(MakeStmCapturePublish(backend));
   }
   all.push_back(MakeGroupCommitPair());
   all.push_back(MakeGroupCommitSnapshot());

@@ -33,7 +33,8 @@ std::string UsageText() {
   --switch-bound <n>     max preemptions per schedule; -1 = unbounded
   --no-reduction         disable sleep-set reduction (soundness experiments)
   --trace-out <file>     write the first failing schedule as a replayable
-                         trace (format: src/mc/trace_io.h)
+                         trace (format: src/mc/trace_io.h) as soon as it
+                         is found
   --replay <file>        replay a recorded trace instead of exploring; exit
                          0 iff the replay is faithful and reproduces the
                          recorded outcome class
@@ -230,7 +231,30 @@ int main(int argc, char** argv) {
 
   int mismatches = 0;
   for (const sb7::mc::Litmus* litmus : selected) {
-    const sb7::mc::ExploreResult result = sb7::mc::Explore(*litmus, options.explore);
+    // The first failing schedule settles the verdict (a clean litmus fails,
+    // a racy one passes), so it is reported, and its trace written, the
+    // moment it is found: a run cut off later by a wall-clock bound keeps it.
+    std::string io_error;
+    const auto report_failure = [&](const sb7::mc::ScheduleTrace& failure, uint64_t schedule) {
+      std::cout << (litmus->expect_violation ? "PASS" : "FAIL") << " " << litmus->name
+                << ": failing schedule at schedule " << schedule << "\n"
+                << "  first failure: "
+                << (failure.violation ? failure.violation.detail : failure.check_failure)
+                << "\n";
+      if (!options.trace_out.empty()) {
+        if (sb7::mc::WriteTraceFile(options.trace_out, failure, litmus->num_threads(),
+                                    &io_error)) {
+          std::cout << "  trace written to " << options.trace_out << "\n";
+        }
+      }
+      std::cout.flush();
+    };
+    const sb7::mc::ExploreResult result =
+        sb7::mc::Explore(*litmus, options.explore, report_failure);
+    if (!io_error.empty()) {
+      std::cerr << "sb7-mc: " << io_error << "\n";
+      return 2;
+    }
     const bool found = result.failures > 0;
     const bool ok = found == litmus->expect_violation;
     std::cout << (ok ? "PASS" : "FAIL") << " " << litmus->name << ": " << result.schedules
@@ -241,22 +265,6 @@ int main(int argc, char** argv) {
       ++mismatches;
       if (litmus->expect_violation) {
         std::cout << "  expected a failing schedule; exploration was clean\n";
-      }
-    }
-    if (result.first_failure) {
-      const sb7::mc::ScheduleTrace& failure = *result.first_failure;
-      std::cout << "  first failure: "
-                << (failure.violation ? failure.violation.detail : failure.check_failure)
-                << "\n";
-      if (!options.trace_out.empty()) {
-        std::string io_error;
-        if (sb7::mc::WriteTraceFile(options.trace_out, failure, litmus->num_threads(),
-                                    &io_error)) {
-          std::cout << "  trace written to " << options.trace_out << "\n";
-        } else {
-          std::cerr << "sb7-mc: " << io_error << "\n";
-          return 2;
-        }
       }
     }
   }

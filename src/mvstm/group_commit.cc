@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -108,7 +110,15 @@ void GroupCommitSequencer::LeadPending(Enrollee* self) {
     // A fully evicted group appends nothing and consumes no sequence number;
     // the wasted clock tick is harmless (timestamps need not be dense).
     if (!record.members.empty()) {
-      writer_->AppendGroup(record);
+      if (!writer_->AppendGroup(record)) {
+        // Fail-stop: the members are still spinning before their publish,
+        // so ending the process here acknowledges none of them. Never
+        // retry: after a failed fsync the page cache may already have
+        // dropped the data.
+        std::fprintf(stderr, "fatal: %s; stopping before commit group %llu is acknowledged\n",
+                     writer_->error().c_str(), static_cast<unsigned long long>(group_seq_));
+        std::_Exit(EXIT_FAILURE);
+      }
       ++group_seq_;
     }
     // mo: release — the append (or the decision to skip it) happens-before

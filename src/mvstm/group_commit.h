@@ -26,6 +26,10 @@
 //                 are evicted from the group, never committed.
 //   4. append   — the leader writes one checksummed group record for the
 //                 members that validated and fsyncs per the log's policy.
+//                 If the write or fsync fails (or the writer failed
+//                 earlier), the leader prints the writer's error and ends
+//                 the process before any member returns: no commit is
+//                 acknowledged that the log does not hold.
 //   5. publish  — only after the append do members publish their version
 //                 chain nodes at the shared write version and release their
 //                 locks (write-ahead rule: nothing becomes visible that

@@ -6,6 +6,7 @@
 #include <array>
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -367,7 +368,7 @@ void RedoLogWriter::WriteRaw(const char* data, size_t len) {
     }
     if (n < 0) {
       ok_ = false;
-      error_ = "write to redo log '" + path_ + "' failed";
+      error_ = "write to redo log '" + path_ + "' failed: " + std::strerror(errno);
       return;
     }
     written += static_cast<size_t>(n);
@@ -380,7 +381,7 @@ void RedoLogWriter::Fsync() {
   }
   if (::fsync(fd_) != 0) {
     ok_ = false;
-    error_ = "fsync of redo log '" + path_ + "' failed";
+    error_ = "fsync of redo log '" + path_ + "' failed: " + std::strerror(errno);
     return;
   }
   ++stats_.fsyncs;
@@ -414,9 +415,12 @@ void RedoLogWriter::WriteFileHeader(uint64_t seed, const std::string& scale,
   }
 }
 
-void RedoLogWriter::AppendGroup(const GroupRecord& group) {
-  if (dead_ || !ok_) {
-    return;
+bool RedoLogWriter::AppendGroup(const GroupRecord& group) {
+  if (dead_) {
+    return true;
+  }
+  if (!ok_) {
+    return false;
   }
   std::string frame;
   AppendRecordFrame(&frame, EncodeGroup(group));
@@ -424,25 +428,29 @@ void RedoLogWriter::AppendGroup(const GroupRecord& group) {
       crash_.point != CrashPoint::kNone && group.group_seq == crash_.at_group;
   if (fire && crash_.point == CrashPoint::kBeforeAppend) {
     Fire();
-    return;
+    return true;
   }
   if (fire && crash_.point == CrashPoint::kTornWrite) {
     // The kill -9 common case: a prefix of the frame reaches the file.
     WriteRaw(frame.data(), frame.size() / 2);
     Fire();
-    return;
+    return true;
   }
   WriteRaw(frame.data(), frame.size());
+  if (!ok_) {
+    return false;
+  }
   ++stats_.groups;
   stats_.members += group.members.size();
   stats_.bytes += frame.size();
   if (fire && crash_.point == CrashPoint::kAfterAppend) {
     Fire();  // the append is in the page cache but was never fsynced
-    return;
+    return true;
   }
   if (durability_ != Durability::kOff) {
     Fsync();
   }
+  return ok_;
 }
 
 void RedoLogWriter::Close() {

@@ -185,7 +185,12 @@ class RedoLogWriter {
 
   void WriteFileHeader(uint64_t seed, const std::string& scale,
                        const std::string& backend);
-  void AppendGroup(const GroupRecord& group);
+  // Appends (and, per the durability policy, fsyncs) one group. Returns
+  // false when the group is not in the log because a write or fsync failed,
+  // now or earlier (error() says which); the caller must not acknowledge
+  // any of its members. A writer killed by a crash point drops the group
+  // and returns true: the simulated crash stands for the process's death.
+  bool AppendGroup(const GroupRecord& group);
   // Clean shutdown: close record + final fsync (every policy). Idempotent.
   void Close();
 

@@ -9,10 +9,12 @@
 ///     thread-local current transaction. With no transaction installed (the
 ///     coarse- and medium-grained locking strategies), accesses compile down
 ///     to plain acquire/release atomics; with a transaction installed they
-///     are routed through the STM.
+///     are routed through the STM, except for fields of objects that the
+///     running STM attempt built itself (captured memory, below).
 ///   * `TmUnit` — the per-object header: a registry of the object's fields
-///     (a list threaded through the fields themselves) plus the metadata the
-///     object-granular (ASTM-like) STM needs. Word-based STMs ignore it.
+///     (a list threaded through the fields themselves), the capture stamp
+///     of the attempt that built it, and the metadata the object-granular
+///     (ASTM-like) STM needs. Word-based STMs ignore the latter.
 ///   * `Transaction` — the interface every STM implements.
 ///   * `TxObserver` — the observation seam the correctness oracle and the
 ///     tracer (src/trace/) record through; a fixed-capacity multi-observer
@@ -20,6 +22,22 @@
 ///
 /// The core benchmark code therefore contains no concurrency control at
 /// all; strategies are injected orthogonally, as §4 of the paper requires.
+///
+/// Captured memory (Dragojević, Ni & Adl-Tabatabai, SPAA 2009): no other
+/// thread can reach an object that the running STM attempt constructed
+/// before the commit that links it publishes, and the attempt's abort hooks
+/// free it if the attempt dies. Its fields therefore need no barrier. Every
+/// unit records the capture stamp of the attempt that constructed it (0
+/// outside attempts); Get/Set serve a field whose unit carries the running
+/// attempt's stamp straight from its word with a relaxed load or store:
+/// no Transaction::Read/Write call, no read-set, write-log or lock entry,
+/// no mvstm version. Observers are still notified, so the oracle and the
+/// tracer see every access. Stamps are 64-bit and never reused; an attempt
+/// draws one lazily, when it constructs its first object, from a per-thread
+/// block of one global counter. Only Stm::RunAtomically opens a capture
+/// scope, so a transaction installed any other way (the fine strategy's
+/// audit) never skips the STM. Since a captured field has no undo, an
+/// aborted attempt leaves its objects holding their last values.
 
 #ifndef STMBENCH7_SRC_STM_FIELD_H_
 #define STMBENCH7_SRC_STM_FIELD_H_
@@ -48,6 +66,55 @@ class AstmTx;
 /// back to the retry loop. Never escapes Stm::RunAtomically.
 struct TxAborted {};
 
+namespace internal {
+
+// Capture scope of the calling thread (see the file comment). Outside an
+// STM attempt it is kCaptureOff; inside one it is kCaptureUndrawn until the
+// attempt constructs its first unit, then the attempt's stamp. Units built
+// outside attempts carry stamp 0, and real stamps start at 1 and stay below
+// both sentinels.
+inline constexpr uint64_t kCaptureOff = ~uint64_t{0};
+inline constexpr uint64_t kCaptureUndrawn = ~uint64_t{0} - 1;
+inline thread_local uint64_t tls_capture_stamp = kCaptureOff;
+
+// Stamps are handed out in per-thread blocks of this many, so drawing one
+// touches the shared counter once per block, not once per attempt.
+inline constexpr uint64_t kCaptureStampBlock = 1024;
+inline std::atomic<uint64_t> g_capture_stamp_counter{1};
+
+inline uint64_t DrawCaptureStamp() {
+  thread_local uint64_t next = 0;
+  thread_local uint64_t end = 0;
+  if (next == end) {
+    // mo: relaxed — stamps need uniqueness only; a thread compares stamps
+    // against its own, never against another thread's.
+    next = g_capture_stamp_counter.fetch_add(kCaptureStampBlock, std::memory_order_relaxed);
+    end = next + kCaptureStampBlock;
+  }
+  return next++;
+}
+
+// The stamp a unit constructed now records: 0 outside attempts, else the
+// running attempt's stamp, drawn here if this is its first unit.
+inline uint64_t CaptureStampForNewUnit() {
+  uint64_t& stamp = tls_capture_stamp;
+  if (stamp == kCaptureOff) {
+    return 0;
+  }
+  if (stamp == kCaptureUndrawn) {
+    stamp = DrawCaptureStamp();
+  }
+  return stamp;
+}
+
+}  // namespace internal
+
+/// Opens the calling thread's capture scope for one STM attempt; objects it
+/// constructs until CloseCaptureScope() are captured by that attempt. Only
+/// Stm::RunAtomically calls these.
+inline void OpenCaptureScope() { internal::tls_capture_stamp = internal::kCaptureUndrawn; }
+inline void CloseCaptureScope() { internal::tls_capture_stamp = internal::kCaptureOff; }
+
 /// Per-object transactional header. Fields register themselves here at
 /// construction time; construction is always thread-private (objects become
 /// shared only when a committed transaction links them into the structure),
@@ -57,9 +124,18 @@ struct TxAborted {};
 /// and its index within the unit.
 class TmUnit {
  public:
-  TmUnit() = default;
+  TmUnit() : capture_stamp_(internal::CaptureStampForNewUnit()) {}
   TmUnit(const TmUnit&) = delete;
   TmUnit& operator=(const TmUnit&) = delete;
+
+  /// True when the STM attempt running on the calling thread constructed
+  /// this unit: its fields are private to that attempt (see the file
+  /// comment). Until the attempt draws a stamp, the thread-local test alone
+  /// answers, without loading the unit's stamp.
+  bool captured() const {
+    const uint64_t stamp = internal::tls_capture_stamp;
+    return stamp < internal::kCaptureUndrawn && stamp == capture_stamp_;
+  }
 
   /// Number of fields registered with this unit; their indexes are
   /// [0, field_count()), in registration order.
@@ -108,6 +184,9 @@ class TmUnit {
   TmUnit* cover_ = this;
   uint32_t field_count_ = 0;
   bool topology_ = false;
+  // Last, so that in a derived object it sits next to the first fields
+  // and is read from the cache line they share.
+  const uint64_t capture_stamp_;
 };
 
 /// Base class for shared benchmark objects: owns the TmUnit.
@@ -531,6 +610,14 @@ class TxFieldBase {
     mv_history_.store(head, order);
   }
 
+ protected:
+  // Store to a captured field (TmUnit::captured()) by the attempt that
+  // built it. mo: relaxed — no other thread can reach the field until the
+  // commit that links its unit publishes it (a release by every backend),
+  // and readers reach it through that link with acquire loads. Not
+  // OnRawStore: Set reports the store to observers as a transactional write.
+  void StoreCaptured(uint64_t value) { word_.store(value, std::memory_order_relaxed); }
+
  private:
   // All three on the SyncPoint seam (src/mc/sync_point.h): the lock is what
   // the word STMs race on, the in-place word is the datum every STM
@@ -567,8 +654,10 @@ T DecodeWord(uint64_t word) {
 }  // namespace internal
 
 /// Typed shared field: Get/Set route through the thread-local current
-/// transaction when one is installed, and fall through to plain
-/// acquire/release atomics otherwise (the lock strategies).
+/// transaction when one is installed, unless the running STM attempt built
+/// the field's unit (then the word is private to it and served directly),
+/// and fall through to plain acquire/release atomics otherwise (the lock
+/// strategies).
 template <typename T>
 class TxField : public TxFieldBase {
  public:
@@ -576,7 +665,9 @@ class TxField : public TxFieldBase {
 
   T Get() const {
     if (Transaction* tx = CurrentTx()) {
-      const uint64_t word = tx->Read(*this);
+      // A captured field is private to this attempt (see StoreCaptured).
+      const uint64_t word =
+          owner().captured() ? LoadRaw(std::memory_order_relaxed) : tx->Read(*this);
       if (HasTxObservers()) {
         NotifyTxObservers(
             [&](TxObserver& observer) { observer.OnTxRead(*this, word); });
@@ -589,7 +680,11 @@ class TxField : public TxFieldBase {
   void Set(const T& value) {
     if (Transaction* tx = CurrentTx()) {
       const uint64_t word = internal::EncodeWord(value);
-      tx->Write(*this, word);
+      if (owner().captured()) {
+        StoreCaptured(word);
+      } else {
+        tx->Write(*this, word);
+      }
       if (HasTxObservers()) {
         NotifyTxObservers(
             [&](TxObserver& observer) { observer.OnTxWrite(*this, word); });
@@ -626,7 +721,11 @@ class TxText {
 
   void Set(std::string text) {
     auto* fresh = new std::string(std::move(text));
-    Transaction* tx = CurrentTx();
+    // A text that the running attempt built keeps `fresh` whether the
+    // attempt commits or aborts (its owner's destructor frees it then), so
+    // `old` is garbage either way and is retired at once, as without a
+    // transaction.
+    Transaction* tx = field_.owner().captured() ? nullptr : CurrentTx();
     // Registered before the first transactional access: either access below
     // may abort the attempt, and the fresh body is not yet shared.
     if (tx != nullptr) {

@@ -44,6 +44,20 @@ struct TxCacheEntry {
 
 thread_local std::vector<TxCacheEntry> tls_tx_cache;
 
+// An attempt body runs with the attempt installed as the thread's current
+// transaction and with a capture scope open (field.h), so the objects it
+// constructs are served without the STM until the attempt ends. Every exit
+// from the body closes both.
+void EnterAttemptBody(Transaction& tx) {
+  SetCurrentTx(&tx);
+  OpenCaptureScope();
+}
+
+void LeaveAttemptBody() {
+  SetCurrentTx(nullptr);
+  CloseCaptureScope();
+}
+
 Rng& BackoffRng() {
   thread_local Rng rng(0x9bc0ffeeull ^
                        std::hash<std::thread::id>{}(std::this_thread::get_id()));
@@ -135,7 +149,7 @@ void Stm::RunAtomically(const std::function<void(Transaction&)>& body, bool read
       NotifyTxObservers([&](TxObserver& observer) { observer.OnTxBegin(read_only); });
     }
     tx.BeginAttempt();
-    SetCurrentTx(&tx);
+    EnterAttemptBody(tx);
     if (timing) {
       internal::tls_tx_validation_nanos = 0;
     }
@@ -162,7 +176,7 @@ void Stm::RunAtomically(const std::function<void(Transaction&)>& body, bool read
     };
     try {
       body(tx);
-      SetCurrentTx(nullptr);
+      LeaveAttemptBody();
       if (timing) {
         body_end = NowNanos();
         body_validation = internal::tls_tx_validation_nanos;
@@ -186,7 +200,7 @@ void Stm::RunAtomically(const std::function<void(Transaction&)>& body, bool read
         commit_end = NowNanos();
       }
     } catch (const TxAborted&) {
-      SetCurrentTx(nullptr);
+      LeaveAttemptBody();
       tx.AbortSelf();
       if (timing) {
         // The body threw mid-flight: everything until now is body time.
@@ -197,7 +211,7 @@ void Stm::RunAtomically(const std::function<void(Transaction&)>& body, bool read
     } catch (...) {
       // Operation-level failure: commit what was read so the failure is based
       // on a consistent snapshot, then propagate it.
-      SetCurrentTx(nullptr);
+      LeaveAttemptBody();
       if (timing) {
         body_end = NowNanos();
         body_validation = internal::tls_tx_validation_nanos;

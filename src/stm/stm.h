@@ -31,7 +31,10 @@ namespace sb7 {
 ///
 /// Counter semantics:
 ///   starts/commits/aborts      — attempt outcomes from the retry loop.
-///   reads/writes               — transactional field accesses.
+///   reads/writes               — field accesses that went through the
+///                                STM; accesses to objects the running
+///                                attempt built itself (captured memory,
+///                                src/stm/field.h) are not counted.
 ///   validation_steps           — read-set entries re-checked during
 ///                                incremental validation; the O(k^2)
 ///                                signature of invisible-read STMs.

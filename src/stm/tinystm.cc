@@ -105,7 +105,7 @@ void TinyTx::Write(TxFieldBase& field, uint64_t value) {
       SetTxAbortCause(AbortCause::kWriteLock, &lock);
       throw TxAborted{};
     }
-    owned_.push_back(OwnedLock{&lock, word});
+    owned_.push_back(&lock);
     owned_lookup_.insert(&lock);
   }
   undo_log_.push_back(UndoEntry{&field, field.LoadRaw(std::memory_order_acquire)});
@@ -125,9 +125,9 @@ bool TinyTx::TryCommit() {
     RunAbortHooks();
     return false;
   }
-  for (const OwnedLock& held : owned_) {
+  for (sp::AtomicU64* lock : owned_) {
     // mo: release — publishes the in-place writes before the new version.
-    held.lock->store(LockTable::MakeVersion(wv), std::memory_order_release);
+    lock->store(LockTable::MakeVersion(wv), std::memory_order_release);
   }
   owned_.clear();
   owned_lookup_.clear();
@@ -142,9 +142,17 @@ void TinyTx::RollbackAndRelease() {
     it->field->StoreRaw(it->old_value, std::memory_order_release);
   }
   undo_log_.clear();
-  for (const OwnedLock& held : owned_) {
-    // mo: release — publishes the undo writeback before dropping the lock.
-    held.lock->store(held.pre_lock_word, std::memory_order_release);
+  if (!owned_.empty()) {
+    // Released at a fresh clock tick, never at the pre-lock word, as
+    // TinySTM's write-through mode does: a reader whose pre/post lock loads
+    // bracket this attempt's in-place store and its undo would otherwise
+    // see the same word twice and accept a value that was never committed,
+    // possibly a link to a node the abort hooks free.
+    const uint64_t version = LockTable::MakeVersion(LockTable::ClockAdvance());
+    for (sp::AtomicU64* lock : owned_) {
+      // mo: release — publishes the undo writeback before dropping the lock.
+      lock->store(version, std::memory_order_release);
+    }
   }
   owned_.clear();
   owned_lookup_.clear();

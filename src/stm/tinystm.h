@@ -49,10 +49,6 @@ class TinyTx : public TxImplBase {
     TxFieldBase* field;
     uint64_t old_value;
   };
-  struct OwnedLock {
-    sp::AtomicU64* lock;
-    uint64_t pre_lock_word;  // restored on abort
-  };
 
   bool OwnsLock(const sp::AtomicU64* lock) const {
     return owned_lookup_.count(lock) != 0;
@@ -62,6 +58,8 @@ class TinyTx : public TxImplBase {
   // snapshot forward. Returns false if any read is stale.
   bool ExtendSnapshot(uint64_t now);
   bool ValidateReadSet() const;
+  // Undoes the in-place writes and releases the owned locks at a fresh
+  // version (see tinystm.cc).
   void RollbackAndRelease();
 
   StmStats& stats_;
@@ -69,7 +67,7 @@ class TinyTx : public TxImplBase {
 
   std::vector<ReadEntry> read_set_;
   std::vector<UndoEntry> undo_log_;
-  std::vector<OwnedLock> owned_;
+  std::vector<sp::AtomicU64*> owned_;
   std::unordered_set<const sp::AtomicU64*> owned_lookup_;
 
   int64_t local_reads_ = 0;

@@ -80,6 +80,22 @@ TEST(TxFieldTest, DispatchesThroughCurrentTransaction) {
   EXPECT_EQ(widget.count.Get(), 5);  // memory untouched by the mock
 }
 
+// Only Stm::RunAtomically opens a capture scope. A transaction installed
+// any other way — the fine strategy's audit transaction is one — serves
+// every access, also to objects built while it is installed.
+TEST(TxFieldTest, TransactionsInstalledOutsideRunAtomicallyCaptureNothing) {
+  RecordingTx tx;
+  SetCurrentTx(&tx);
+  Widget widget;
+  EXPECT_FALSE(widget.unit().captured());
+  EXPECT_EQ(widget.count.Get(), 777);
+  widget.count.Set(9);
+  SetCurrentTx(nullptr);
+  EXPECT_EQ(tx.reads.size(), 1u);
+  EXPECT_EQ(tx.writes.size(), 1u);
+  EXPECT_EQ(widget.count.Get(), 0);  // memory untouched by the mock
+}
+
 TEST(TxTextTest, DirectModeGetSet) {
   TmObject holder;
   TxText text(holder.unit(), "I am the body");

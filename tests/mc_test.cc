@@ -7,7 +7,9 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "src/mc/explorer.h"
 #include "src/mc/litmus.h"
@@ -107,6 +109,44 @@ TEST(McExplorerTest, SleepSetReductionIsSound) {
   EXPECT_LE(reduced.schedules, unreduced.schedules);
 }
 
+TEST(McExplorerTest, FirstFailingScheduleIsReportedBeforeTheNextOneRuns) {
+  // sb7-mc prints its verdict and writes the trace from this callback, so a
+  // run cut off later keeps what it found: the report must come right after
+  // the failing schedule, before the next one starts, and only once.
+  Litmus litmus = Registered("astm-priority-race");
+  auto setups = std::make_shared<uint64_t>(0);
+  litmus.setup = [setups, inner = litmus.setup] {
+    ++*setups;
+    if (inner) {
+      inner();
+    }
+  };
+  int calls = 0;
+  uint64_t reported_at = 0;
+  uint64_t setups_at_report = 0;
+  std::vector<int> reported_tids;
+  const ExploreResult result =
+      Explore(litmus, SmokeOptions(), [&](const ScheduleTrace& failure, uint64_t schedule) {
+        ++calls;
+        reported_at = schedule;
+        setups_at_report = *setups;
+        for (const ScheduleStep& step : failure.steps) {
+          reported_tids.push_back(step.tid);
+        }
+      });
+  ASSERT_TRUE(result.first_failure.has_value());
+  EXPECT_EQ(calls, 1);
+  ASSERT_GE(reported_at, 1u);
+  EXPECT_LT(reported_at, result.schedules);  // exploration went on after it
+  EXPECT_EQ(setups_at_report, reported_at);  // no later schedule had started
+  EXPECT_EQ(result.schedule_tids[reported_at - 1], reported_tids);
+
+  calls = 0;
+  Explore(Registered("astm-priority-fixed"), SmokeOptions(),
+          [&](const ScheduleTrace&, uint64_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+}
+
 TEST(McExplorerTest, SwitchBoundPrunesPreemptiveSchedules) {
   const Litmus& litmus = Registered("dpor-2x2");
   ExploreOptions unbounded = SmokeOptions();
@@ -202,6 +242,36 @@ TEST(McStmTest, BoundedExplorationOfRealBackendsStaysOpaque) {
                        : result.first_failure->check_failure)
                 : std::string("?"));
     EXPECT_GT(result.schedules, 0u) << name;
+  }
+}
+
+TEST(McStmTest, AbortedWritesAndCapturedObjectsStayOpaqueOnEveryBackend) {
+  // stm-aborted-write: a reader never accepts a value whose writer aborted.
+  // tinystm did, while it released an aborted attempt's locks at their old
+  // words; the window takes four preemptions. stm-capture-publish: a pair
+  // built and set inside an attempt, served without the STM, is seen whole
+  // by any reader that sees its link. Both windows lie within the first 40
+  // steps, and at that step bound the search is exhaustive in at most a
+  // few thousand schedules; past it, spinning readers multiply the
+  // schedules without reaching a new window. With the old tinystm release,
+  // the aborted-write search failed at schedule 224 of 228.
+  ExploreOptions options;
+  options.max_schedules = 5000;
+  options.max_steps = 40;
+  for (const char* backend : {"tl2", "tinystm", "norec", "astm", "mvstm"}) {
+    for (const std::string prefix : {"stm-aborted-write-", "stm-capture-publish-"}) {
+      const std::string name = prefix + backend;
+      const ExploreResult result = Explore(Registered(name.c_str()), options);
+      EXPECT_EQ(result.failures, 0u)
+          << name << ": "
+          << (result.first_failure
+                  ? (result.first_failure->violation
+                         ? result.first_failure->violation.detail
+                         : result.first_failure->check_failure)
+                  : std::string("?"));
+      EXPECT_GT(result.schedules, 0u) << name;
+      EXPECT_FALSE(result.budget_exhausted) << name;
+    }
   }
 }
 

@@ -3,7 +3,8 @@
 //    and every single-bit flip of a log is rejected cleanly (torn tail or
 //    corrupt), never crashing the scanner or silently replaying bad data,
 //  - writer fault injection: each CrashPoint freezes the file in exactly the
-//    state a kill -9 at that instant would leave,
+//    state a kill -9 at that instant would leave, and a failed append ends
+//    the process before the commit it carries returns,
 //  - kill -9 harness: forked benchmark children are SIGKILLed mid-write-storm
 //    at random offsets (plus deterministically at every crash point) and the
 //    replayed log's deep fingerprint must equal a survivor's — under the
@@ -34,6 +35,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <thread>
@@ -43,6 +45,8 @@
 #include "src/core/invariants.h"
 #include "src/ebr/ebr.h"
 #include "src/harness/driver.h"
+#include "src/mvstm/group_commit.h"
+#include "src/mvstm/mvstm.h"
 #include "src/mvstm/redo_log.h"
 #include "src/net/client.h"
 #include "src/net/net.h"
@@ -330,13 +334,14 @@ TEST(RedoWriterTest, CrashPointsFreezeTheFileInTheirExactCrashState) {
     writer.SetCrashConfig(crash);
 
     writer.WriteFileHeader(9, "tiny", "mvstm");
-    writer.AppendGroup(groups[0]);
+    EXPECT_TRUE(writer.AppendGroup(groups[0]));
     ASSERT_FALSE(writer.dead());
-    writer.AppendGroup(groups[1]);  // fires here
+    // A simulated crash is not an I/O failure: the appends report success.
+    EXPECT_TRUE(writer.AppendGroup(groups[1]));  // fires here
     EXPECT_TRUE(fired) << redo::CrashPointName(c.point);
     EXPECT_TRUE(writer.dead());
-    writer.AppendGroup(groups[2]);  // dead writer: dropped
-    writer.Close();                 // dead writer: dropped
+    EXPECT_TRUE(writer.AppendGroup(groups[2]));  // dead writer: dropped
+    writer.Close();                              // dead writer: dropped
     EXPECT_FALSE(writer.closed());
 
     const std::string& memory = writer.memory_buffer();
@@ -353,6 +358,29 @@ TEST(RedoWriterTest, CrashPointsFreezeTheFileInTheirExactCrashState) {
     EXPECT_FALSE(summary.corrupt);
     EXPECT_FALSE(summary.clean_close);
   }
+}
+
+// Fail-stop: no commit is acknowledged that the log does not hold. Every
+// write() to /dev/full fails with ENOSPC, so the writer already fails on its
+// header; the first update commit through the sequencer must then end the
+// process instead of returning. A death test forks, so it sits with the
+// tests that run before any thread is spawned.
+TEST(RedoWriterTest, FailedAppendEndsTheProcessBeforeTheCommitReturns) {
+  EXPECT_EXIT(
+      {
+        RedoLogWriter writer("/dev/full", Durability::kGroup);
+        writer.WriteFileHeader(1, "tiny", "mvstm");
+        GroupCommitSequencer sequencer(&writer);
+        MvStm stm;
+        stm.AttachSequencer(&sequencer);
+        TmObject holder;
+        TxField<int64_t> cell(holder.unit(), 0);
+        stm.RunAtomically([&](Transaction&) { cell.Set(1); });
+        std::fprintf(stderr, "the commit returned\n");
+        std::_Exit(0);
+      },
+      ::testing::ExitedWithCode(EXIT_FAILURE),
+      "/dev/full' failed: .*stopping before commit group 0 is acknowledged");
 }
 
 // ------------------------------------------------------- kill -9 harness --

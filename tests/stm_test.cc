@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "src/stm/astm.h"
 #include "src/common/rng.h"
+#include "src/containers/txvector.h"
+#include "src/ebr/ebr.h"
+#include "src/stm/astm.h"
+#include "src/stm/lock_table.h"
 #include "src/stm/stm_factory.h"
 
 namespace sb7 {
@@ -261,6 +265,130 @@ TEST_P(StmTest, StatsCountersAreConsistent) {
   EXPECT_EQ(view.aborts, 0);
   EXPECT_GE(view.reads, 100);
   EXPECT_GE(view.writes, 100);
+}
+
+// --- captured memory: objects the running attempt built skip the STM ---
+
+TEST_P(StmTest, FieldsOfObjectsBuiltInTheAttemptSkipTheStm) {
+  const uint64_t clock_before = LockTable::ClockNow();
+  Cell* built = nullptr;
+  stm_->RunAtomically([&](Transaction& tx) {
+    auto* cell = new Cell(5);
+    tx.OnAbort([cell] { delete cell; });
+    EXPECT_TRUE(cell->unit().captured());
+    EXPECT_EQ(cell->value.Get(), 5);
+    cell->value.Set(6);
+    cell->value.Set(cell->value.Get() + 1);
+    EXPECT_EQ(cell->value.Get(), 7);
+    built = cell;
+  });
+  std::unique_ptr<Cell> owner(built);
+  EXPECT_FALSE(built->unit().captured());
+  EXPECT_EQ(built->value.Get(), 7);
+  const StmStats::View view = stm_->stats().Snapshot();
+  EXPECT_EQ(view.commits, 1);
+  EXPECT_EQ(view.reads, 0);
+  EXPECT_EQ(view.writes, 0);
+  // Nothing was logged: the commit was write-free (no clock tick), locked
+  // nothing, published no mvstm version and opened no astm object.
+  EXPECT_EQ(LockTable::ClockNow(), clock_before);
+  // raw-ok: inspects the lock word to show that no commit locked the field.
+  EXPECT_EQ(built->value.LockWord().load(std::memory_order_relaxed), 0u);
+  // raw-ok: inspects the version-chain head to show that none was published.
+  EXPECT_EQ(built->value.LoadMvHistory(std::memory_order_relaxed), nullptr);
+  EXPECT_EQ(built->unit().astm_version.load(std::memory_order_relaxed), 0u);
+}
+
+TEST_P(StmTest, ObjectsBuiltByACommittedAttemptGoThroughTheStmAfterwards) {
+  Cell* built = nullptr;
+  stm_->RunAtomically([&](Transaction& tx) {
+    built = new Cell(1);
+    Cell* cell = built;
+    tx.OnAbort([cell] { delete cell; });
+    built->value.Set(2);
+  });
+  std::unique_ptr<Cell> owner(built);
+  stm_->RunAtomically([&](Transaction&) {
+    EXPECT_FALSE(built->unit().captured());
+    built->value.Set(built->value.Get() + 1);
+  });
+  EXPECT_EQ(built->value.Get(), 3);
+  const StmStats::View view = stm_->stats().Snapshot();
+  EXPECT_EQ(view.reads, 1);
+  EXPECT_EQ(view.writes, 1);
+}
+
+TEST_P(StmTest, ObjectsBuiltOutsideAttemptsNeverSkipTheStm) {
+  Cell cell(4);
+  stm_->RunAtomically([&](Transaction&) {
+    EXPECT_FALSE(cell.unit().captured());
+    cell.value.Set(cell.value.Get() + 1);
+  });
+  EXPECT_EQ(cell.value.Get(), 5);
+  EXPECT_EQ(stm_->stats().reads.load(), 1);
+  EXPECT_EQ(stm_->stats().writes.load(), 1);
+}
+
+// A cell that counts live instances, so a test sees what the abort hooks
+// freed.
+class CountedCell : public Cell {
+ public:
+  explicit CountedCell(std::atomic<int>& live) : live_(live) { live_.fetch_add(1); }
+  ~CountedCell() override { live_.fetch_sub(1); }
+
+ private:
+  std::atomic<int>& live_;
+};
+
+// An object whose members own heap blocks that change while the attempt
+// that built it runs: a vector that grows past its first chunk and a text
+// that is replaced. Captured fields have no undo, so an aborted attempt
+// leaves it holding the new chunk and body, which its destructor frees; the
+// replaced ones must be freed exactly once too (ASan checks both).
+struct Bundle : TmObject {
+  Bundle() : text(unit(), "first body") {}
+  TxVector<int64_t> items;
+  TxText text;
+};
+
+TEST_P(StmTest, AnAbortedAttemptFreesWhatItBuiltAndItsRetryDrawsANewStamp) {
+  std::atomic<int> live{0};
+  std::unique_ptr<Cell> witness;  // built by the aborted attempt, kept
+  std::unique_ptr<Cell> kept;     // built by the committed retry
+  std::unique_ptr<Bundle> bundle;
+  int attempts = 0;
+  stm_->RunAtomically([&](Transaction& tx) {
+    auto* cell = new CountedCell(live);
+    tx.OnAbort([cell] { delete cell; });
+    auto* fresh_bundle = new Bundle();
+    tx.OnAbort([fresh_bundle] { delete fresh_bundle; });
+    for (int64_t i = 0; i < 20; ++i) {
+      fresh_bundle->items.PushBack(i);
+    }
+    fresh_bundle->text.Set("second body");
+    cell->value.Set(attempts);
+    EXPECT_TRUE(cell->unit().captured());
+    if (attempts++ == 0) {
+      witness = std::make_unique<Cell>(7);
+      EXPECT_EQ(live.load(), 1);
+      throw TxAborted{};
+    }
+    // The retry drew a new stamp: what the aborted attempt built is not
+    // captured by it.
+    EXPECT_FALSE(witness->unit().captured());
+    EXPECT_TRUE(cell->unit().captured());
+    kept.reset(cell);
+    bundle.reset(fresh_bundle);
+  });
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(live.load(), 1);  // the aborted attempt's cell was freed
+  EXPECT_EQ(kept->value.Get(), 1);
+  ASSERT_EQ(bundle->items.Size(), 20);
+  EXPECT_EQ(bundle->items.Get(19), 19);
+  EXPECT_EQ(bundle->text.Get(), "second body");
+  kept.reset();
+  EXPECT_EQ(live.load(), 0);
+  EbrDomain::Global().DrainAll();  // the replaced chunks and bodies
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStms, StmTest,
