@@ -239,9 +239,21 @@ std::string OpacityFailure(StmCells& cells) {
   return std::string();
 }
 
+// Resets the cells through the STM: a direct store would bypass mvstm's
+// version chains, and a snapshot straddling the next commit could walk a
+// chain back to the previous execution's value. The transaction brings the
+// control thread online in EBR; it must not hold the epoch back while the
+// execution's threads retire version nodes.
+void ResetCells(Stm& stm, McCell& x, McCell& y) {
+  stm.RunAtomically([&](Transaction&) {
+    x.value.Set(0);
+    y.value.Set(0);
+  });
+  EbrDomain::Global().Offline();
+}
+
 void StmSetup(const std::shared_ptr<StmCells>& cells) {
-  cells->x.value.Set(0);
-  cells->y.value.Set(0);
+  ResetCells(*cells->stm, cells->x, cells->y);
   cells->r1 = cells->r2 = 0;
   cells->recorder = std::make_unique<HistoryRecorder>();
   cells->recorder->Install();
@@ -442,18 +454,15 @@ Litmus MakeStmCapturePublish(std::string_view backend) {
   litmus.summary = "a pair built and set inside an attempt is seen whole through its link";
   litmus.expect_violation = false;
   litmus.setup = [cells] {
-    // Unlinked through the STM: a direct store would leave mvstm's version
-    // chain naming the previous execution's pair after it is freed, and a
-    // snapshot reader could walk to it. No execution is running, so the
-    // pair can then be freed outright.
+    // Unlinked through the STM, like the cells (ResetCells): a direct store
+    // would leave mvstm's version chain naming the previous execution's
+    // pair after it is freed. No execution is running, so the pair can then
+    // be freed outright.
     McPair* previous = nullptr;
     cells->stm->RunAtomically([&](Transaction&) {
       previous = cells->link.Get();
       cells->link.Set(nullptr);
     });
-    // The transaction brought this thread online in EBR; it must not hold
-    // the epoch back while the execution's threads retire version nodes.
-    EbrDomain::Global().Offline();
     delete previous;
     StmSetup(cells);
   };
@@ -516,9 +525,10 @@ struct GroupCommitCells {
   uint64_t members_before = 0;
 };
 
+// The reset commits through the sequencer, so it logs a group of its own
+// before members_before is read.
 void GroupCommitSetup(const std::shared_ptr<GroupCommitCells>& cells) {
-  cells->x.value.Set(0);
-  cells->y.value.Set(0);
+  ResetCells(cells->stm, cells->x, cells->y);
   cells->r1 = cells->r2 = 0;
   cells->members_before = cells->writer.stats().members;
   cells->recorder = std::make_unique<HistoryRecorder>();

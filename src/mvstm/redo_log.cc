@@ -1,8 +1,10 @@
 #include "src/mvstm/redo_log.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstdlib>
@@ -126,6 +128,22 @@ struct BodyReader {
 constexpr size_t kFrameHeaderBytes = 8;
 constexpr size_t kFrameTrailerBytes = 4;
 
+// True when bytes[from, end) are all zero. The search stops at the first
+// nonzero byte, and a frame's length prefix puts one within its first four
+// bytes, so testing every frame boundary keeps a scan linear.
+bool ZerosFrom(const std::string& bytes, size_t from) {
+  return std::all_of(bytes.begin() + static_cast<std::ptrdiff_t>(from), bytes.end(),
+                     [](char c) { return c == 0; });
+}
+
+// A frame the crash cut short in a reserved file: from its last byte
+// (`last`) on, the input holds only the zeros of the reservation, which runs
+// past it because the writer keeps a reserved byte after every frame. A
+// frame that fails its checksums otherwise was written whole and is corrupt.
+bool CutShortByReservedTail(const std::string& bytes, size_t last) {
+  return last + 1 < bytes.size() && ZerosFrom(bytes, last);
+}
+
 thread_local uint64_t tls_client_tag = 0;
 thread_local MemberRecord tls_attempt_context;
 
@@ -246,10 +264,10 @@ void AppendRecordFrame(std::string* out, const std::string& body) {
 
 ExtractStatus TryExtractRecord(const std::string& bytes, size_t* offset,
                                std::string* body, std::string* detail) {
-  const size_t remaining = bytes.size() - *offset;
-  if (remaining == 0) {
-    return ExtractStatus::kEnd;
+  if (ZerosFrom(bytes, *offset)) {
+    return ExtractStatus::kEnd;  // nothing left, or reserved space never written
   }
+  const size_t remaining = bytes.size() - *offset;
   if (remaining < kFrameHeaderBytes) {
     *detail = "truncated frame header";
     return ExtractStatus::kTornTail;
@@ -260,6 +278,10 @@ ExtractStatus TryExtractRecord(const std::string& bytes, size_t* offset,
   header.ReadU32(&body_len);
   header.ReadU32(&header_crc);
   if (Crc32(bytes.data() + *offset, 4) != header_crc) {
+    if (CutShortByReservedTail(bytes, *offset + kFrameHeaderBytes - 1)) {
+      *detail = "frame header cut short by the reserved tail";
+      return ExtractStatus::kTornTail;
+    }
     *detail = "frame length checksum mismatch";
     return ExtractStatus::kCorrupt;
   }
@@ -276,6 +298,10 @@ ExtractStatus TryExtractRecord(const std::string& bytes, size_t* offset,
   uint32_t body_crc = 0;
   trailer.ReadU32(&body_crc);
   if (Crc32(bytes.data() + body_start, body_len) != body_crc) {
+    if (CutShortByReservedTail(bytes, body_start + body_len + kFrameTrailerBytes - 1)) {
+      *detail = "record cut short by the reserved tail";
+      return ExtractStatus::kTornTail;
+    }
     *detail = "record checksum mismatch";
     return ExtractStatus::kCorrupt;
   }
@@ -345,7 +371,12 @@ RedoLogWriter::RedoLogWriter(std::string path, Durability durability)
   if (fd_ < 0) {
     ok_ = false;
     error_ = "cannot open redo log '" + path_ + "'";
+    return;
   }
+  // Only a regular file takes a reservation; a FIFO or a device log is
+  // written as it comes.
+  struct stat st = {};
+  reserving_ = ::fstat(fd_, &st) == 0 && S_ISREG(st.st_mode);
 }
 
 RedoLogWriter::~RedoLogWriter() {
@@ -360,6 +391,25 @@ void RedoLogWriter::WriteRaw(const char* data, size_t len) {
     memory_.append(data, len);
     return;
   }
+  // Appends inside the reservation leave the file size alone, so a sync has
+  // no size to journal. The reservation grows in whole steps and always
+  // past the append's end: recovery tells a torn frame by the reserved
+  // zeros after it.
+  if (reserving_ && written_ + len >= reserved_) {
+    const uint64_t want =
+        (written_ + len) / kRedoReserveStepBytes * kRedoReserveStepBytes + kRedoReserveStepBytes;
+    int rc = 0;
+    do {
+      rc = ::posix_fallocate(fd_, static_cast<off_t>(reserved_),
+                             static_cast<off_t>(want - reserved_));
+    } while (rc == EINTR);  // a signal arrived first; retry, as write() does
+    if (rc != 0) {
+      ok_ = false;
+      error_ = "reserving space in redo log '" + path_ + "' failed: " + std::strerror(rc);
+      return;
+    }
+    reserved_ = want;
+  }
   size_t written = 0;
   while (written < len) {
     const ssize_t n = ::write(fd_, data + written, len - written);
@@ -372,16 +422,17 @@ void RedoLogWriter::WriteRaw(const char* data, size_t len) {
       return;
     }
     written += static_cast<size_t>(n);
+    written_ += static_cast<uint64_t>(n);
   }
 }
 
-void RedoLogWriter::Fsync() {
+void RedoLogWriter::Sync() {
   if (fd_ < 0) {
     return;
   }
-  if (::fsync(fd_) != 0) {
+  if (::fdatasync(fd_) != 0) {
     ok_ = false;
-    error_ = "fsync of redo log '" + path_ + "' failed: " + std::strerror(errno);
+    error_ = "fdatasync of redo log '" + path_ + "' failed: " + std::strerror(errno);
     return;
   }
   ++stats_.fsyncs;
@@ -411,7 +462,7 @@ void RedoLogWriter::WriteFileHeader(uint64_t seed, const std::string& scale,
   WriteRaw(frame.data(), frame.size());
   stats_.bytes += frame.size();
   if (durability_ != Durability::kOff) {
-    Fsync();
+    Sync();
   }
 }
 
@@ -448,7 +499,7 @@ bool RedoLogWriter::AppendGroup(const GroupRecord& group) {
     return true;
   }
   if (durability_ != Durability::kOff) {
-    Fsync();
+    Sync();
   }
   return ok_;
 }
@@ -464,7 +515,13 @@ void RedoLogWriter::Close() {
   AppendRecordFrame(&frame, EncodeClose(close));
   WriteRaw(frame.data(), frame.size());
   stats_.bytes += frame.size();
-  Fsync();
+  // A cleanly closed log is its records alone; fdatasync makes the trimmed
+  // size durable with them.
+  if (reserving_ && ok_ && ::ftruncate(fd_, static_cast<off_t>(written_)) != 0) {
+    ok_ = false;
+    error_ = "trimming redo log '" + path_ + "' failed: " + std::strerror(errno);
+  }
+  Sync();
   closed_ = true;
   if (fd_ >= 0) {
     ::close(fd_);
@@ -539,7 +596,7 @@ void ScanLog(const std::string& bytes, std::vector<GroupRecord>* groups,
       summary->clean_close = record.close.groups == summary->groups &&
                              record.close.members == summary->members;
       summary->bytes_consumed = offset;
-      return;  // the close record is final
+      break;  // the close record is final
     } else {
       summary->corrupt = true;
       summary->detail = "duplicate file header";
@@ -547,6 +604,11 @@ void ScanLog(const std::string& bytes, std::vector<GroupRecord>* groups,
     }
     summary->bytes_consumed = offset;
   }
+  size_t end = bytes.size();
+  while (end > summary->bytes_consumed && bytes[end - 1] == 0) {
+    --end;
+  }
+  summary->bytes_reserved = bytes.size() - end;
 }
 
 bool ReadLogFile(const std::string& path, std::string* bytes, std::string* error) {
@@ -651,9 +713,13 @@ ReplayResult RecoverFromLog(const std::string& path, const std::string& backend)
 std::string FormatReplayResult(const ReplayResult& result) {
   std::ostringstream out;
   const RecoverySummary& summary = result.summary;
-  out << "redo log: " << summary.bytes_consumed << "/" << summary.bytes_total
-      << " bytes, " << summary.groups << " groups, " << summary.members
-      << " members\n";
+  out << "redo log: " << summary.bytes_consumed << "/"
+      << summary.bytes_total - summary.bytes_reserved << " bytes, " << summary.groups
+      << " groups, " << summary.members << " members";
+  if (summary.bytes_reserved != 0) {
+    out << ", " << summary.bytes_reserved << " reserved bytes never written";
+  }
+  out << "\n";
   out << "shutdown: "
       << (summary.clean_close ? "clean"
           : summary.torn_tail ? "torn tail (" + summary.detail + ")"

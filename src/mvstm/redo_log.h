@@ -27,6 +27,12 @@
 // shutdown only — a close record. Recovery accepts a torn tail (the kill -9
 // common case): everything up to the last complete record is replayed and
 // the truncation is reported in the RecoverySummary.
+//
+// A file-backed writer reserves its file ahead of the writes, so a log that
+// was not closed cleanly ends in zeros: the reserved, never-written rest of
+// its last step. Zeros from a frame boundary to the end of the input are the
+// end of the log; a frame whose written prefix is followed only by zeros is
+// a torn tail. A clean close trims the reservation off.
 
 #ifndef STMBENCH7_SRC_MVSTM_REDO_LOG_H_
 #define STMBENCH7_SRC_MVSTM_REDO_LOG_H_
@@ -51,6 +57,9 @@ constexpr uint32_t kRedoMagic = 0x52374253;
 // A group record holds at most a few hundred members of ~50 bytes each;
 // a length prefix beyond this bound is corruption, not a big record.
 constexpr uint32_t kMaxRedoBodyBytes = 1u << 20;
+
+// A file-backed writer reserves its file in steps of this many bytes.
+constexpr uint64_t kRedoReserveStepBytes = 1u << 20;
 
 // Sentinel op_index for commits made outside the operation registry (raw
 // RunAtomically bodies in tests and litmus runs). Such logs replay as an
@@ -114,8 +123,8 @@ void AppendRecordFrame(std::string* out, const std::string& body);
 
 enum class ExtractStatus {
   kRecord,    // one complete frame extracted; *offset advanced past it
-  kEnd,       // clean end of input
-  kTornTail,  // input ends inside a frame (torn write / truncation)
+  kEnd,       // clean end of input, or only reserved zeros left
+  kTornTail,  // input ends inside a frame, or zeros follow a frame's prefix
   kCorrupt,   // checksum or length-bound violation
 };
 
@@ -128,10 +137,12 @@ ExtractStatus TryExtractRecord(const std::string& bytes, size_t* offset,
 // ---------------------------------------------------------------------------
 // Writer
 
+// A sync is fdatasync: inside the reservation an append changes no metadata
+// that reading the data back needs.
 enum class Durability {
-  kOff,     // append only; no fsync until Close
-  kGroup,   // one fsync per commit group
-  kAlways,  // groups of one, fsync per commit
+  kOff,     // append only; no sync until Close
+  kGroup,   // one sync per commit group
+  kAlways,  // groups of one, sync per commit
 };
 
 bool ParseDurability(std::string_view name, Durability* out);
@@ -172,7 +183,10 @@ struct WriterStats {
 class RedoLogWriter {
  public:
   // File-backed when `path` is non-empty (created/truncated); in-memory
-  // otherwise (tests, litmus runs under the interleaving explorer).
+  // otherwise (tests, litmus runs under the interleaving explorer). A
+  // regular file is reserved in whole steps, always past the end of the
+  // next append, so a zero byte follows every frame until Close trims the
+  // file; a failed reservation is a write error.
   RedoLogWriter(std::string path, Durability durability);
   ~RedoLogWriter();
   RedoLogWriter(const RedoLogWriter&) = delete;
@@ -185,13 +199,15 @@ class RedoLogWriter {
 
   void WriteFileHeader(uint64_t seed, const std::string& scale,
                        const std::string& backend);
-  // Appends (and, per the durability policy, fsyncs) one group. Returns
-  // false when the group is not in the log because a write or fsync failed,
-  // now or earlier (error() says which); the caller must not acknowledge
-  // any of its members. A writer killed by a crash point drops the group
-  // and returns true: the simulated crash stands for the process's death.
+  // Appends (and, per the durability policy, syncs) one group. Returns
+  // false when the group is not in the log because a reservation, write or
+  // sync failed, now or earlier (error() says which); the caller must not
+  // acknowledge any of its members. A writer killed by a crash point drops
+  // the group and returns true: the simulated crash stands for the
+  // process's death.
   bool AppendGroup(const GroupRecord& group);
-  // Clean shutdown: close record + final fsync (every policy). Idempotent.
+  // Clean shutdown: close record, trim of the unwritten reservation, final
+  // sync (every policy). Idempotent.
   void Close();
 
   // True once a crash point fired; the file is frozen in its crash state.
@@ -205,12 +221,15 @@ class RedoLogWriter {
 
  private:
   void WriteRaw(const char* data, size_t len);
-  void Fsync();
+  void Sync();
   void Fire();
 
   std::string path_;
   Durability durability_;
   int fd_ = -1;
+  bool reserving_ = false;  // fd_ is a regular file
+  uint64_t written_ = 0;    // bytes written to fd_
+  uint64_t reserved_ = 0;   // file size the reservations reached
   std::string memory_;
   bool ok_ = true;
   std::string error_;
@@ -233,6 +252,7 @@ struct RecoverySummary {
   bool corrupt = false;      // checksum / framing violation stopped the scan
   uint64_t bytes_consumed = 0;
   uint64_t bytes_total = 0;
+  uint64_t bytes_reserved = 0;  // zeros ending the input past bytes_consumed
   std::string detail;        // human-readable stop reason when torn/corrupt
 };
 

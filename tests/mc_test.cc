@@ -5,16 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "src/ebr/ebr.h"
 #include "src/mc/explorer.h"
 #include "src/mc/litmus.h"
 #include "src/mc/scheduler.h"
 #include "src/mc/trace_io.h"
+#include "src/stm/field.h"
 
 namespace sb7::mc {
 namespace {
@@ -294,6 +299,78 @@ TEST(McStmTest, GroupCommitLitmusesStayOpaqueAndWriteAhead) {
                        : result.first_failure->check_failure)
                 : std::string("?"));
     EXPECT_GT(result.schedules, 0u) << name;
+  }
+}
+
+// Parks the first transactional read of a thread that set tls_park_first_read
+// until Release(), so that thread's snapshot straddles whatever commits
+// meanwhile.
+thread_local bool tls_park_first_read = false;
+
+class ParkFirstRead final : public TxObserver {
+ public:
+  void OnTxBegin(bool) noexcept override {}
+  void OnTxCommit() noexcept override {}
+  void OnTxAbort(const TxAbortInfo&) noexcept override {}
+  void OnTxRead(const TxFieldBase&, uint64_t) noexcept override {
+    if (!tls_park_first_read) {
+      return;
+    }
+    tls_park_first_read = false;
+    std::unique_lock<std::mutex> lock(mu_);
+    parked_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+  }
+  void AwaitParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+TEST(McStmTest, SetupsResetTheCellsThroughTheStm) {
+  // An execution's setup resets x and y for the next one. A raw store is
+  // invisible to mvstm's version chains, so a snapshot straddling the next
+  // commit walked a chain back to the previous execution's 1: the reader
+  // below read x == 0 before the writer committed and y == 1 after. Run
+  // outside the explorer, on plain threads: nothing hits a sync point.
+  for (const char* name : {"stm-snapshot-mvstm", "mvstm-group-commit-snapshot"}) {
+    const Litmus& litmus = Registered(name);
+    ASSERT_EQ(litmus.num_threads(), 2) << name;  // writer, snapshot reader
+    litmus.setup();
+    litmus.bodies[0]();  // x = y = 1
+    EbrDomain::Global().Offline();
+    EXPECT_EQ(litmus.check(), "") << name;
+
+    litmus.setup();
+    ParkFirstRead park;
+    ASSERT_TRUE(InstallTxObserver(&park));
+    std::thread reader([&] {
+      tls_park_first_read = true;
+      litmus.bodies[1]();
+      EbrDomain::Global().Offline();
+    });
+    park.AwaitParked();  // the reader's snapshot has read x
+    std::thread writer([&] {
+      litmus.bodies[0]();
+      EbrDomain::Global().Offline();
+    });
+    writer.join();
+    park.Release();
+    reader.join();
+    ASSERT_TRUE(RemoveTxObserver(&park));
+    EXPECT_EQ(litmus.check(), "") << name;
   }
 }
 

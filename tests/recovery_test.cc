@@ -3,8 +3,12 @@
 //    and every single-bit flip of a log is rejected cleanly (torn tail or
 //    corrupt), never crashing the scanner or silently replaying bad data,
 //  - writer fault injection: each CrashPoint freezes the file in exactly the
-//    state a kill -9 at that instant would leave, and a failed append ends
+//    state a kill -9 at that instant would leave, in memory and in a file
+//    reserved ahead of its writes, and a failed append or reservation ends
 //    the process before the commit it carries returns,
+//  - reserved files: a clean close trims the reservation, a file holding
+//    only its reservation is the empty world, and a bit flip in a frame
+//    that another frame follows is corruption, never a torn tail,
 //  - kill -9 harness: forked benchmark children are SIGKILLed mid-write-storm
 //    at random offsets (plus deterministically at every crash point) and the
 //    replayed log's deep fingerprint must equal a survivor's — under the
@@ -26,6 +30,7 @@
 #include <pthread.h>
 #include <signal.h>
 #include <sys/ioctl.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -94,6 +99,14 @@ MemberRecord MakeMember(uint16_t op, uint64_t tag) {
   member.rng[2] = 42 + tag;
   member.rng[3] = ~tag;
   return member;
+}
+
+GroupRecord OneMemberGroup(uint64_t seq) {
+  GroupRecord group;
+  group.group_seq = seq;
+  group.commit_ts = seq + 1;
+  group.members = {MakeMember(static_cast<uint16_t>(seq), seq)};
+  return group;
 }
 
 // A synthetic, structurally legal log: header, two groups, close record.
@@ -360,6 +373,183 @@ TEST(RedoWriterTest, CrashPointsFreezeTheFileInTheirExactCrashState) {
   }
 }
 
+// The same crash points on a file-backed writer. Its file is reserved ahead
+// of the writes, so each crash leaves the in-memory case's bytes followed by
+// the zeros of the reservation, and a scan must read both alike.
+TEST(RedoWriterTest, ReservedFileCrashStatesScanLikeTheirInMemoryCases) {
+  const GroupRecord groups[] = {OneMemberGroup(0), OneMemberGroup(1), OneMemberGroup(2)};
+  const std::string path = ScratchLog("reserved");
+  for (CrashPoint point :
+       {CrashPoint::kBeforeAppend, CrashPoint::kTornWrite, CrashPoint::kAfterAppend}) {
+    std::string logs[2];  // in memory, in the file
+    for (int in_file = 0; in_file < 2; ++in_file) {
+      RedoLogWriter writer(in_file ? path : "", Durability::kGroup);
+      CrashConfig crash;
+      crash.point = point;
+      crash.at_group = 1;
+      crash.on_fire = [] {};
+      writer.SetCrashConfig(crash);
+      writer.WriteFileHeader(9, "tiny", "mvstm");
+      for (const GroupRecord& group : groups) {
+        EXPECT_TRUE(writer.AppendGroup(group));
+      }
+      writer.Close();  // dead writer: dropped, the reservation stays
+      ASSERT_TRUE(writer.dead());
+      std::string error;
+      if (in_file) {
+        ASSERT_TRUE(redo::ReadLogFile(path, &logs[1], &error)) << error;
+      } else {
+        logs[0] = writer.memory_buffer();
+      }
+    }
+    const std::string& memory = logs[0];
+    const std::string& file = logs[1];
+    ASSERT_EQ(file.size(), redo::kRedoReserveStepBytes) << redo::CrashPointName(point);
+    EXPECT_EQ(file.substr(0, memory.size()), memory);
+    EXPECT_EQ(file.find_first_not_of('\0', memory.size()), std::string::npos);
+
+    std::vector<GroupRecord> scanned[2];
+    RecoverySummary summary[2];
+    ScanLog(memory, &scanned[0], &summary[0]);
+    ScanLog(file, &scanned[1], &summary[1]);
+    EXPECT_EQ(summary[1].groups, summary[0].groups) << redo::CrashPointName(point);
+    ASSERT_EQ(scanned[1].size(), scanned[0].size());
+    for (size_t i = 0; i < scanned[0].size(); ++i) {
+      EXPECT_EQ(scanned[1][i].group_seq, scanned[0][i].group_seq);
+      EXPECT_EQ(scanned[1][i].commit_ts, scanned[0][i].commit_ts);
+    }
+    EXPECT_EQ(summary[1].torn_tail, summary[0].torn_tail) << redo::CrashPointName(point);
+    EXPECT_FALSE(summary[1].corrupt) << summary[1].detail;
+    EXPECT_FALSE(summary[1].clean_close);
+    EXPECT_EQ(summary[1].bytes_consumed, summary[0].bytes_consumed);
+    EXPECT_EQ(summary[1].bytes_reserved,
+              summary[0].bytes_reserved + (file.size() - memory.size()));
+  }
+  ::unlink(path.c_str());
+}
+
+// A clean close trims the reservation: the file is byte for byte what the
+// in-memory writer holds and as long as stats().bytes, though it grew in
+// whole reservation steps while open.
+TEST(RedoWriterTest, CleanCloseTrimsTheReservation) {
+  const std::string path = ScratchLog("trim");
+  RedoLogWriter file(path, Durability::kOff);  // one sync, at close
+  RedoLogWriter memory("", Durability::kOff);
+  GroupRecord group;
+  for (uint64_t m = 0; m < 4; ++m) {
+    group.members.push_back(MakeMember(static_cast<uint16_t>(m), m));
+  }
+  std::string frame;
+  AppendRecordFrame(&frame, EncodeGroup(group));
+  // Enough groups to cross into a second step.
+  const uint64_t groups_total = redo::kRedoReserveStepBytes / frame.size() + 100;
+  for (RedoLogWriter* writer : {&file, &memory}) {
+    writer->WriteFileHeader(3, "tiny", "mvstm");
+    for (uint64_t seq = 0; seq < groups_total; ++seq) {
+      group.group_seq = seq;
+      group.commit_ts = seq + 1;
+      ASSERT_TRUE(writer->AppendGroup(group));
+    }
+  }
+  struct stat st = {};
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  EXPECT_EQ(static_cast<uint64_t>(st.st_size), 2 * redo::kRedoReserveStepBytes);
+
+  file.Close();
+  memory.Close();
+  ASSERT_TRUE(file.ok()) << file.error();
+  EXPECT_TRUE(file.closed());
+  EXPECT_EQ(file.stats().fsyncs, 1u);
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  EXPECT_EQ(static_cast<uint64_t>(st.st_size), file.stats().bytes);
+  std::string bytes;
+  std::string error;
+  ASSERT_TRUE(redo::ReadLogFile(path, &bytes, &error)) << error;
+  EXPECT_TRUE(bytes == memory.memory_buffer());
+
+  std::vector<GroupRecord> groups;
+  RecoverySummary summary;
+  ScanLog(bytes, &groups, &summary);
+  EXPECT_TRUE(summary.clean_close);
+  EXPECT_EQ(summary.groups, groups_total);
+  EXPECT_EQ(summary.bytes_reserved, 0u);
+  ::unlink(path.c_str());
+}
+
+// Killed after the first reservation but before the header reached it: the
+// file holds one step of zeros, the end of an empty log.
+TEST(RedoWriterTest, AFileHoldingOnlyItsReservationIsTheEmptyWorld) {
+  const std::string path = ScratchLog("zeros");
+  const int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::posix_fallocate(fd, 0, static_cast<off_t>(redo::kRedoReserveStepBytes)), 0);
+  ::close(fd);
+
+  const ReplayResult result = RecoverFromLog(path, "mvstm");
+  ::unlink(path.c_str());
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_FALSE(result.replayed);
+  EXPECT_FALSE(result.summary.header_ok);
+  EXPECT_FALSE(result.summary.torn_tail);
+  EXPECT_FALSE(result.summary.corrupt) << result.summary.detail;
+  EXPECT_EQ(result.summary.bytes_total, redo::kRedoReserveStepBytes);
+  EXPECT_EQ(result.summary.bytes_reserved, redo::kRedoReserveStepBytes);
+  const std::string report = redo::FormatReplayResult(result);
+  EXPECT_NE(report.find("redo log: 0/0 bytes, 0 groups, 0 members, 1048576 reserved bytes "
+                        "never written\n"),
+            std::string::npos)
+      << report;
+}
+
+// The reserved tail must not hide corruption: a single-bit flip in any frame
+// that another frame follows reads as corrupt, with the groups before it
+// recovered. A flip in the last frame, which only zeros follow, may read
+// as a torn write of that frame (its final byte can be a zero).
+TEST(RedoWriterTest, BitFlipsBeforeTheLastFrameOfAReservedFileAreCorrupt) {
+  const std::string path = ScratchLog("flips");
+  std::vector<size_t> boundaries;  // frame ends
+  {
+    RedoLogWriter writer(path, Durability::kOff);
+    writer.WriteFileHeader(7, "tiny", "mvstm");
+    boundaries.push_back(writer.stats().bytes);
+    for (uint64_t seq = 0; seq < 3; ++seq) {
+      ASSERT_TRUE(writer.AppendGroup(OneMemberGroup(seq)));
+      boundaries.push_back(writer.stats().bytes);
+    }
+  }  // not closed: the reservation stays
+  std::string bytes;
+  std::string error;
+  ASSERT_TRUE(redo::ReadLogFile(path, &bytes, &error)) << error;
+  ::unlink(path.c_str());
+  ASSERT_EQ(bytes.size(), redo::kRedoReserveStepBytes);
+  // A shorter zero tail is the same shape and keeps the 2,000 scans quick.
+  bytes.resize(boundaries.back() + 4096);
+
+  for (size_t i = 0; i < boundaries.back(); ++i) {
+    size_t frame = 0;
+    while (i >= boundaries[frame]) ++frame;
+    const uint64_t want_groups = frame == 0 ? 0 : frame - 1;
+    const bool last = frame + 1 == boundaries.size();
+    for (int bit = 0; bit < 8; ++bit) {
+      bytes[i] = static_cast<char>(bytes[i] ^ (1 << bit));
+      std::vector<GroupRecord> groups;
+      RecoverySummary summary;
+      ScanLog(bytes, &groups, &summary);
+      bytes[i] = static_cast<char>(bytes[i] ^ (1 << bit));
+
+      EXPECT_EQ(summary.groups, want_groups) << "i=" << i << " bit=" << bit;
+      EXPECT_EQ(summary.header_ok, frame >= 1) << "i=" << i << " bit=" << bit;
+      EXPECT_FALSE(summary.clean_close) << "i=" << i << " bit=" << bit;
+      if (last) {
+        EXPECT_NE(summary.corrupt, summary.torn_tail) << "i=" << i << " bit=" << bit;
+      } else {
+        EXPECT_TRUE(summary.corrupt) << "i=" << i << " bit=" << bit;
+        EXPECT_FALSE(summary.torn_tail) << "i=" << i << " bit=" << bit;
+      }
+    }
+  }
+}
+
 // Fail-stop: no commit is acknowledged that the log does not hold. Every
 // write() to /dev/full fails with ENOSPC, so the writer already fails on its
 // header; the first update commit through the sequencer must then end the
@@ -381,6 +571,36 @@ TEST(RedoWriterTest, FailedAppendEndsTheProcessBeforeTheCommitReturns) {
       },
       ::testing::ExitedWithCode(EXIT_FAILURE),
       "/dev/full' failed: .*stopping before commit group 0 is acknowledged");
+}
+
+// A reservation that fails is a write error too. Under a file-size limit
+// below one step (set in the forked child only, with SIGXFSZ ignored there),
+// posix_fallocate fails with EFBIG when the header's step is reserved, and
+// the first update commit must end the process instead of returning.
+TEST(RedoWriterTest, FailedReservationEndsTheProcessBeforeTheCommitReturns) {
+  const std::string path = ScratchLog("fsize");
+  EXPECT_EXIT(
+      {
+        struct rlimit limit = {};
+        ::getrlimit(RLIMIT_FSIZE, &limit);
+        limit.rlim_cur = 64 << 10;
+        ::setrlimit(RLIMIT_FSIZE, &limit);
+        ::signal(SIGXFSZ, SIG_IGN);
+        RedoLogWriter writer(path, Durability::kGroup);
+        writer.WriteFileHeader(1, "tiny", "mvstm");
+        GroupCommitSequencer sequencer(&writer);
+        MvStm stm;
+        stm.AttachSequencer(&sequencer);
+        TmObject holder;
+        TxField<int64_t> cell(holder.unit(), 0);
+        stm.RunAtomically([&](Transaction&) { cell.Set(1); });
+        std::fprintf(stderr, "the commit returned\n");
+        std::_Exit(0);
+      },
+      ::testing::ExitedWithCode(EXIT_FAILURE),
+      "reserving space in redo log '.*' failed: File too large; stopping before commit "
+      "group 0 is acknowledged");
+  ::unlink(path.c_str());
 }
 
 // ------------------------------------------------------- kill -9 harness --

@@ -2,9 +2,11 @@
 # Crash-recovery loop (docs/DURABILITY.md): repeatedly start a write-dominated
 # mvstm run with a durable redo log, kill -9 it at a pseudo-random offset, and
 # replay whatever survived under two different backends. Every iteration must
-# recover (torn tails are expected, corruption is not) and both replays must
-# print the same "fingerprint:" line — the content-based world fingerprint is
-# backend-independent, so a disagreement means the log or the replay is wrong.
+# recover (torn tails are expected, corruption is not: a replay that prints
+# "shutdown: corrupt" fails the iteration, though --recover exits 0 for it)
+# and both replays must print the same "fingerprint:" line — the
+# content-based world fingerprint is backend-independent, so a disagreement
+# means the log or the replay is wrong.
 #
 # usage: crash_loop.sh <stmbench7-binary> [iterations] [artifact-dir]
 #
@@ -52,6 +54,12 @@ for i in $(seq 1 "$ITERS"); do
     fail "iteration $i: mvstm replay failed (run$i.mvstm.out)"
   "$BIN" --recover "$log" -g tl2 >"$WORK/run$i.tl2.out" 2>&1 ||
     fail "iteration $i: tl2 replay failed (run$i.tl2.out)"
+
+  for backend in mvstm tl2; do
+    if grep -q '^shutdown: corrupt' "$WORK/run$i.$backend.out"; then
+      fail "iteration $i: $backend replay read the log as corrupt: $(grep '^shutdown:' "$WORK/run$i.$backend.out")"
+    fi
+  done
 
   fp_mvstm=$(fingerprint_of "$WORK/run$i.mvstm.out")
   fp_tl2=$(fingerprint_of "$WORK/run$i.tl2.out")
