@@ -252,11 +252,16 @@ void ResetCells(Stm& stm, McCell& x, McCell& y) {
   EbrDomain::Global().Offline();
 }
 
+// A setup installs the execution's recorder before its reset transactions
+// commit, so the history holds the resets: CheckOpacity grounds each cell on
+// the value a reset wrote, and a stale starting value fails the gate.
+// Installed after the resets, the recorder would let the checker ground a
+// cell on its first read, whatever it returned.
 void StmSetup(const std::shared_ptr<StmCells>& cells) {
-  ResetCells(*cells->stm, cells->x, cells->y);
-  cells->r1 = cells->r2 = 0;
   cells->recorder = std::make_unique<HistoryRecorder>();
   cells->recorder->Install();
+  ResetCells(*cells->stm, cells->x, cells->y);
+  cells->r1 = cells->r2 = 0;
 }
 
 Litmus MakeStmLostUpdate(std::string_view backend) {
@@ -454,17 +459,17 @@ Litmus MakeStmCapturePublish(std::string_view backend) {
   litmus.summary = "a pair built and set inside an attempt is seen whole through its link";
   litmus.expect_violation = false;
   litmus.setup = [cells] {
-    // Unlinked through the STM, like the cells (ResetCells): a direct store
-    // would leave mvstm's version chain naming the previous execution's
-    // pair after it is freed. No execution is running, so the pair can then
-    // be freed outright.
+    StmSetup(cells);
+    // Unlinked through the STM, like the cells (ResetCells), and recorded
+    // like them: a direct store would leave mvstm's version chain naming the
+    // previous execution's pair after it is freed. No execution is running,
+    // so the pair can then be freed outright.
     McPair* previous = nullptr;
     cells->stm->RunAtomically([&](Transaction&) {
       previous = cells->link.Get();
       cells->link.Set(nullptr);
     });
     delete previous;
-    StmSetup(cells);
   };
   litmus.bodies = {
       [cells] {
@@ -525,14 +530,15 @@ struct GroupCommitCells {
   uint64_t members_before = 0;
 };
 
-// The reset commits through the sequencer, so it logs a group of its own
-// before members_before is read.
+// The recorder goes in before the reset, as in StmSetup. The reset commits
+// through the sequencer, so it logs a group of its own before
+// members_before is read.
 void GroupCommitSetup(const std::shared_ptr<GroupCommitCells>& cells) {
+  cells->recorder = std::make_unique<HistoryRecorder>();
+  cells->recorder->Install();
   ResetCells(cells->stm, cells->x, cells->y);
   cells->r1 = cells->r2 = 0;
   cells->members_before = cells->writer.stats().members;
-  cells->recorder = std::make_unique<HistoryRecorder>();
-  cells->recorder->Install();
 }
 
 // Opacity gate plus the write-ahead gate: every byte the sequencer appended

@@ -17,7 +17,7 @@
 //                 never be stranded behind a leader that finished without it.
 //   3. validate — every member re-validates its own read set on its own
 //                 thread (correct abort-cause attribution). The TL2
-//                 "wv == start_ts + 1" validation skip is sound only for a
+//                 "wv == rv + 1" validation skip is sound only for a
 //                 group of one: inside a larger group it would admit
 //                 intra-group write skew, so multi-member groups always
 //                 validate in full. A member that sees another member's

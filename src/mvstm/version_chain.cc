@@ -41,15 +41,17 @@ void VersionChain::Publish(TxFieldBase& field, uint64_t value, uint64_t commit_t
 
 uint64_t VersionChain::ReadAtSnapshot(const TxFieldBase& field, uint64_t snapshot_ts) {
   // Safety hinges on the commit protocol's lock-before-clock-advance order
-  // (MvTx::TryCommit, as in TL2): a commit with timestamp wv holds all its
-  // field locks before the clock can reach wv. Hence, for any reader whose
-  // snapshot_ts came from the clock, an UNLOCKED field proves that every
-  // commit to it with timestamp <= snapshot_ts has fully published its
-  // versions — the word and the chain can be trusted. A LOCKED field may
-  // carry an in-flight commit that belongs in this snapshot, so the reader
-  // waits out the (short) publish+release window instead of serving a
-  // possibly pre-commit state. Waiting is not aborting: the reader stays
-  // abort-free, it is merely not wait-free across a rival's commit point.
+  // (Tl2Tx::TryCommit, which mvstm's update mode inherits): a commit with
+  // timestamp wv holds all its field locks before the clock can reach wv,
+  // whether it takes wv itself or through the group-commit sequencer.
+  // Hence, for any reader whose snapshot_ts came from the clock, an
+  // UNLOCKED field proves that every commit to it with timestamp <=
+  // snapshot_ts has fully published its versions — the word and the chain
+  // can be trusted. A LOCKED field may carry an in-flight commit that
+  // belongs in this snapshot, so the reader waits out the (short)
+  // publish+release window instead of serving a possibly pre-commit state.
+  // Waiting is not aborting: the reader stays abort-free, it is merely not
+  // wait-free across a rival's commit point.
   const sp::AtomicU64& lock = field.LockWord();
   for (int attempt = 0;; ++attempt) {
     Backoff::Pause(attempt);

@@ -55,7 +55,7 @@ class AstmStm : public Stm {
 
 class AstmTx : public TxImplBase {
  public:
-  AstmTx(StmStats& stats, ContentionManager& cm) : stats_(stats), cm_(&cm) {}
+  explicit AstmTx(ContentionManager& cm) : cm_(&cm) {}
 
   void BeginAttempt() override;
   uint64_t Read(const TxFieldBase& field) override;
@@ -102,7 +102,6 @@ class AstmTx : public TxImplBase {
   bool ValidateReadList();
   void ReleaseOwnerships();
 
-  StmStats& stats_;
   ContentionManager* cm_;
   // The kill/commit arbitration word: a protocol atomic, so it sits on the
   // SyncPoint seam for the interleaving explorer.
@@ -117,12 +116,6 @@ class AstmTx : public TxImplBase {
   std::unordered_map<const TmUnit*, uint64_t> read_map_;  // unit -> version
   std::unordered_map<TmUnit*, WriteImage> write_map_;
   std::vector<TmUnit*> write_order_;
-
-  int64_t local_reads_ = 0;
-  int64_t local_writes_ = 0;
-  int64_t local_validation_steps_ = 0;
-  int64_t local_bytes_cloned_ = 0;
-  void FlushLocalStats();
 };
 
 }  // namespace sb7

@@ -32,8 +32,6 @@ class NorecStm : public Stm {
 
 class NorecTx : public TxImplBase {
  public:
-  explicit NorecTx(StmStats& stats) : stats_(stats) {}
-
   void BeginAttempt() override;
   uint64_t Read(const TxFieldBase& field) override;
   void Write(TxFieldBase& field, uint64_t value) override;
@@ -53,17 +51,11 @@ class NorecTx : public TxImplBase {
   // TxAborted when any value changed.
   uint64_t Validate();
 
-  StmStats& stats_;
   uint64_t snapshot_ = 0;
 
   std::vector<ReadEntry> read_log_;
   std::vector<std::pair<TxFieldBase*, uint64_t>> write_log_;
   WriteIndex write_index_;  // field -> its position in write_log_
-
-  int64_t local_reads_ = 0;
-  int64_t local_writes_ = 0;
-  int64_t local_validation_steps_ = 0;
-  void FlushLocalStats();
 };
 
 }  // namespace sb7

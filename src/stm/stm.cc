@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -117,6 +118,26 @@ TxImplBase& Stm::LocalTx() {
   return *tls_tx_cache.back().tx;
 }
 
+void TxImplBase::EndAttempt(StmStats& stats, bool committed) {
+  const auto add = [](std::atomic<int64_t>& counter, int64_t& tally) {
+    if (tally != 0) {
+      // mo: relaxed — StmStats tallies; read only after workers are joined.
+      counter.fetch_add(tally, std::memory_order_relaxed);
+      tally = 0;
+    }
+  };
+  add(stats.reads, tally_.reads);
+  add(stats.writes, tally_.writes);
+  add(stats.validation_steps, tally_.validation_steps);
+  add(stats.bytes_cloned, tally_.bytes_cloned);
+  add(stats.kills, tally_.kills);
+  if (committed) {
+    RunCommitHooks();
+  } else {
+    RunAbortHooks();
+  }
+}
+
 void Stm::RunAtomically(const std::function<void(Transaction&)>& body, bool read_only) {
   TxImplBase& tx = LocalTx();
   tx.SetReadOnly(read_only);
@@ -157,12 +178,40 @@ void Stm::RunAtomically(const std::function<void(Transaction&)>& body, bool read
     // Timing landmarks for the attempt; filled in as the attempt unwinds.
     // body_validation is the validation time spent inside the body, so the
     // commit bucket can be charged only the validation done during TryCommit.
+    // body_end stays 0 when the body threw TxAborted.
     int64_t body_end = 0;
     int64_t body_validation = 0;
-    int64_t commit_end = 0;
-    const auto emit_timing = [&](bool committed) {
-      if (!timing || !HasTxObservers()) {
-        return;
+    const auto end_body = [&] {
+      LeaveAttemptBody();
+      if (timing) {
+        body_end = NowNanos();
+        body_validation = internal::tls_tx_validation_nanos;
+      }
+    };
+    bool committed = false;
+    // An operation failure, rethrown once the attempt that raised it commits.
+    std::exception_ptr failure;
+    try {
+      body(tx);
+      end_body();
+      committed = tx.TryCommit();
+    } catch (const TxAborted&) {
+      LeaveAttemptBody();
+      tx.AbortSelf();
+    } catch (...) {
+      // Operation-level failure: commit what was read so the failure is based
+      // on a consistent snapshot, then propagate it.
+      end_body();
+      failure = std::current_exception();
+      committed = tx.TryCommit();
+    }
+    tx.EndAttempt(stats_, committed);
+    if (timing && HasTxObservers()) {
+      const int64_t commit_end = NowNanos();
+      if (body_end == 0) {
+        // The body threw mid-flight: everything until now is body time.
+        body_end = commit_end;
+        body_validation = internal::tls_tx_validation_nanos;
       }
       TxAttemptTiming t;
       t.backoff_nanos = backoff_nanos;
@@ -173,67 +222,20 @@ void Stm::RunAtomically(const std::function<void(Transaction&)>& body, bool read
                  (internal::tls_tx_validation_nanos - body_validation));
       NotifyTxObservers(
           [&](TxObserver& observer) { observer.OnTxAttemptTiming(t, committed); });
-    };
-    try {
-      body(tx);
-      LeaveAttemptBody();
-      if (timing) {
-        body_end = NowNanos();
-        body_validation = internal::tls_tx_validation_nanos;
+    }
+    if (committed) {
+      // mo: relaxed — StmStats tallies (see above).
+      stats_.commits.fetch_add(1, std::memory_order_relaxed);
+      if (read_only) {
+        stats_.ro_commits.fetch_add(1, std::memory_order_relaxed);
       }
-      if (tx.TryCommit()) {
-        // mo: relaxed — StmStats tallies (see above).
-        stats_.commits.fetch_add(1, std::memory_order_relaxed);
-        if (read_only) {
-          stats_.ro_commits.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (HasTxObservers()) {
-          if (timing) {
-            commit_end = NowNanos();
-          }
-          emit_timing(true);
-          NotifyTxObservers([&](TxObserver& observer) { observer.OnTxCommit(); });
-        }
-        return;
+      if (HasTxObservers()) {
+        NotifyTxObservers([&](TxObserver& observer) { observer.OnTxCommit(); });
       }
-      if (timing) {
-        commit_end = NowNanos();
+      if (failure) {
+        std::rethrow_exception(failure);
       }
-    } catch (const TxAborted&) {
-      LeaveAttemptBody();
-      tx.AbortSelf();
-      if (timing) {
-        // The body threw mid-flight: everything until now is body time.
-        body_end = NowNanos();
-        body_validation = internal::tls_tx_validation_nanos;
-        commit_end = body_end;
-      }
-    } catch (...) {
-      // Operation-level failure: commit what was read so the failure is based
-      // on a consistent snapshot, then propagate it.
-      LeaveAttemptBody();
-      if (timing) {
-        body_end = NowNanos();
-        body_validation = internal::tls_tx_validation_nanos;
-      }
-      if (tx.TryCommit()) {
-        // mo: relaxed — StmStats tallies (see above).
-        stats_.commits.fetch_add(1, std::memory_order_relaxed);
-        if (read_only) {
-          stats_.ro_commits.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (HasTxObservers()) {
-          if (timing) {
-            commit_end = NowNanos();
-          }
-          emit_timing(true);
-          NotifyTxObservers([&](TxObserver& observer) { observer.OnTxCommit(); });
-        }
-        throw;
-      }
-      if (timing) {
-        commit_end = NowNanos();
-      }
+      return;
     }
     // mo: relaxed — StmStats tallies (see above).
     stats_.aborts.fetch_add(1, std::memory_order_relaxed);
@@ -243,7 +245,6 @@ void Stm::RunAtomically(const std::function<void(Transaction&)>& body, bool read
     const TxAbortInfo abort_info = ConsumeTxAbortInfo();
     stats_.AddAbortCause(abort_info.cause);
     if (HasTxObservers()) {
-      emit_timing(false);
       NotifyTxObservers(
           [&](TxObserver& observer) { observer.OnTxAbort(abort_info); });
     }

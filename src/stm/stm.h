@@ -1,14 +1,16 @@
 /// \file
 /// STM runtime interface: statistics, the retry loop, and backoff.
 ///
-/// Every STM flavour (TL2, TinySTM, ASTM-like) provides a TxImplBase and is
-/// driven by the shared Stm::RunAtomically retry loop. The loop implements
-/// the benchmark's failure semantics (§3 of the paper): an exception other
-/// than TxAborted thrown by the body is an *operation failure*, which is a
-/// committed outcome — the loop attempts to commit the reads performed so
-/// far and, only if that commit validates, lets the exception propagate. A
-/// failure observed by a transaction that cannot commit was based on an
-/// inconsistent snapshot and is retried instead.
+/// Every STM flavour (TL2, TinySTM, NOrec, ASTM-like, mvstm) provides a
+/// TxImplBase and is driven by the shared Stm::RunAtomically retry loop,
+/// which also ends every attempt: it tallies the attempt into StmStats and
+/// runs its hooks. The loop implements the benchmark's failure semantics
+/// (§3 of the paper): an exception other than TxAborted thrown by the body
+/// is an *operation failure*, which is a committed outcome — the loop
+/// attempts to commit the reads performed so far and, only if that commit
+/// validates, lets the exception propagate. A failure observed by a
+/// transaction that cannot commit was based on an inconsistent snapshot and
+/// is retried instead.
 
 #ifndef STMBENCH7_SRC_STM_STM_H_
 #define STMBENCH7_SRC_STM_STM_H_
@@ -67,7 +69,7 @@ namespace sb7 {
   X(aborts_snapshot_too_old)    \
   X(aborts_unknown)
 
-/// Aggregate counters, written by transactions at commit/abort boundaries.
+/// Aggregate counters, written by the retry loop at attempt boundaries.
 /// Each hot counter sits on its own cache line: worker threads bump
 /// different counters concurrently, and false sharing here measurably
 /// perturbs the very throughput numbers the harness exists to report.
@@ -154,16 +156,17 @@ struct StmStats {
 };
 
 /// Per-attempt transaction implementation. The retry loop owns the life
-/// cycle: BeginAttempt -> body -> (TryCommit | AbortSelf). After
-/// TryCommit() returns false or AbortSelf() returns, all transaction-held
-/// resources (field locks, object ownerships, undo state) have been
-/// released.
+/// cycle: BeginAttempt -> body -> (TryCommit | AbortSelf), and it ends every
+/// attempt itself: it adds the attempt's tallies to StmStats, then runs the
+/// commit or abort hooks. A backend only releases its own state: once
+/// TryCommit() or AbortSelf() returns, the attempt's field locks, object
+/// ownerships and undo state have been released, and no hook has run yet.
 class TxImplBase : public Transaction {
  public:
   /// Starts a fresh attempt on the calling thread.
   virtual void BeginAttempt() = 0;
   /// Returns true iff the transaction committed; on false the attempt has
-  /// been fully rolled back and abort hooks have run.
+  /// been fully rolled back.
   virtual bool TryCommit() = 0;
   /// Rolls back the attempt (used when the body threw TxAborted).
   virtual void AbortSelf() = 0;
@@ -171,6 +174,24 @@ class TxImplBase : public Transaction {
   /// body performs no writes. Backends may use it to serve all reads from a
   /// consistent snapshot (mvstm); the default ignores it.
   virtual void SetReadOnly(bool read_only) { (void)read_only; }
+
+ protected:
+  /// The running attempt's own counts, bumped without touching StmStats;
+  /// the retry loop adds them when the attempt ends, aborted or not.
+  struct Tallies {
+    int64_t reads = 0;
+    int64_t writes = 0;
+    int64_t validation_steps = 0;
+    int64_t bytes_cloned = 0;
+    int64_t kills = 0;
+  };
+  Tallies tally_;
+
+ private:
+  friend class Stm;
+  /// Adds the nonzero tallies to `stats`, zeroes them, and runs the commit
+  /// or abort hooks.
+  void EndAttempt(StmStats& stats, bool committed);
 };
 
 /// Exponential backoff with jitter. On this benchmark's single-core hosts

@@ -4,28 +4,19 @@
 
 namespace sb7 {
 
-std::unique_ptr<TxImplBase> TinyStm::CreateTx() { return std::make_unique<TinyTx>(stats()); }
+std::unique_ptr<TxImplBase> TinyStm::CreateTx() { return std::make_unique<TinyTx>(); }
 
 void TinyTx::BeginAttempt() {
   rv_ = LockTable::ClockNow();
   read_set_.clear();
   undo_log_.clear();
   owned_.clear();
-  owned_lookup_.clear();
-  local_reads_ = local_writes_ = local_validation_steps_ = 0;
 }
 
-void TinyTx::FlushLocalStats() {
-  // mo: relaxed — StmStats tallies; read only after workers are joined.
-  stats_.reads.fetch_add(local_reads_, std::memory_order_relaxed);
-  stats_.writes.fetch_add(local_writes_, std::memory_order_relaxed);
-  stats_.validation_steps.fetch_add(local_validation_steps_, std::memory_order_relaxed);
-}
-
-bool TinyTx::ValidateReadSet() const {
+bool TinyTx::ValidateReadSet() {
   TxValidationScope validation;
   validation.set_steps(read_set_.size());
-  local_validation_steps_ += static_cast<int64_t>(read_set_.size());
+  tally_.validation_steps += static_cast<int64_t>(read_set_.size());
   for (const ReadEntry& entry : read_set_) {
     // mo: acquire — pairs with committers' release stores on the lock.
     const uint64_t word = entry.lock->load(std::memory_order_acquire);
@@ -52,7 +43,7 @@ bool TinyTx::ExtendSnapshot(uint64_t now) {
 }
 
 uint64_t TinyTx::Read(const TxFieldBase& field) {
-  ++local_reads_;
+  ++tally_.reads;
   sp::AtomicU64& lock = field.LockWord();
   while (true) {
     // mo: acquire — the pre/post pair brackets the in-place data read
@@ -83,17 +74,18 @@ uint64_t TinyTx::Read(const TxFieldBase& field) {
 }
 
 void TinyTx::Write(TxFieldBase& field, uint64_t value) {
-  ++local_writes_;
+  ++tally_.writes;
   sp::AtomicU64& lock = field.LockWord();
-  if (!OwnsLock(&lock)) {
-    // mo: acquire — probe must see the last owner's release of the lock.
-    uint64_t word = lock.load(std::memory_order_acquire);
-    if (LockTable::IsLocked(word)) {
-      // Either a concurrent writer owns it, or this transaction does (which
-      // OwnsLock already ruled out).
+  // mo: acquire — probe must see the last owner's release of the lock.
+  uint64_t word = lock.load(std::memory_order_acquire);
+  if (LockTable::IsLocked(word)) {
+    // Only the owner releases a lock it took, so a word locked by this
+    // transaction means this attempt already owns the field.
+    if (LockTable::OwnerOf(word) != this) {
       SetTxAbortCause(AbortCause::kWriteLock, &lock);
-      throw TxAborted{};
+      throw TxAborted{};  // owned by a concurrent writer
     }
+  } else {
     if (LockTable::VersionOf(word) > rv_ && !ExtendSnapshot(LockTable::ClockNow())) {
       // Cause and conflict key were set by ValidateReadSet.
       throw TxAborted{};
@@ -106,7 +98,6 @@ void TinyTx::Write(TxFieldBase& field, uint64_t value) {
       throw TxAborted{};
     }
     owned_.push_back(&lock);
-    owned_lookup_.insert(&lock);
   }
   undo_log_.push_back(UndoEntry{&field, field.LoadRaw(std::memory_order_acquire)});
   field.StoreRaw(value, std::memory_order_release);
@@ -114,15 +105,11 @@ void TinyTx::Write(TxFieldBase& field, uint64_t value) {
 
 bool TinyTx::TryCommit() {
   if (owned_.empty()) {
-    FlushLocalStats();
-    RunCommitHooks();
     return true;
   }
   const uint64_t wv = LockTable::ClockAdvance();
   if (wv != rv_ + 1 && !ValidateReadSet()) {
     RollbackAndRelease();
-    FlushLocalStats();
-    RunAbortHooks();
     return false;
   }
   for (sp::AtomicU64* lock : owned_) {
@@ -130,9 +117,6 @@ bool TinyTx::TryCommit() {
     lock->store(LockTable::MakeVersion(wv), std::memory_order_release);
   }
   owned_.clear();
-  owned_lookup_.clear();
-  FlushLocalStats();
-  RunCommitHooks();
   return true;
 }
 
@@ -155,13 +139,8 @@ void TinyTx::RollbackAndRelease() {
     }
   }
   owned_.clear();
-  owned_lookup_.clear();
 }
 
-void TinyTx::AbortSelf() {
-  RollbackAndRelease();
-  FlushLocalStats();
-  RunAbortHooks();
-}
+void TinyTx::AbortSelf() { RollbackAndRelease(); }
 
 }  // namespace sb7

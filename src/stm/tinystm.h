@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "src/stm/lock_table.h"
@@ -32,8 +31,6 @@ class TinyStm : public Stm {
 
 class TinyTx : public TxImplBase {
  public:
-  explicit TinyTx(StmStats& stats) : stats_(stats) {}
-
   void BeginAttempt() override;
   uint64_t Read(const TxFieldBase& field) override;
   void Write(TxFieldBase& field, uint64_t value) override;
@@ -50,30 +47,19 @@ class TinyTx : public TxImplBase {
     uint64_t old_value;
   };
 
-  bool OwnsLock(const sp::AtomicU64* lock) const {
-    return owned_lookup_.count(lock) != 0;
-  }
-
   // Revalidates the read set against `now` and, on success, moves the
   // snapshot forward. Returns false if any read is stale.
   bool ExtendSnapshot(uint64_t now);
-  bool ValidateReadSet() const;
+  bool ValidateReadSet();
   // Undoes the in-place writes and releases the owned locks at a fresh
   // version (see tinystm.cc).
   void RollbackAndRelease();
 
-  StmStats& stats_;
   uint64_t rv_ = 0;
 
   std::vector<ReadEntry> read_set_;
   std::vector<UndoEntry> undo_log_;
   std::vector<sp::AtomicU64*> owned_;
-  std::unordered_set<const sp::AtomicU64*> owned_lookup_;
-
-  int64_t local_reads_ = 0;
-  int64_t local_writes_ = 0;
-  mutable int64_t local_validation_steps_ = 0;
-  void FlushLocalStats();
 };
 
 }  // namespace sb7

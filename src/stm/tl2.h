@@ -5,6 +5,10 @@
 // locks (post-validation gives opacity, so no zombie executions), writes are
 // buffered in a redo log and published at commit under commit-time field
 // locks with a fresh write version (wv).
+//
+// mvstm's update mode is this protocol: MvTx (src/mvstm/mvstm.h) derives
+// from Tl2Tx and overrides only how the write version is taken and how the
+// logged values become visible.
 
 #ifndef STMBENCH7_SRC_STM_TL2_H_
 #define STMBENCH7_SRC_STM_TL2_H_
@@ -29,35 +33,36 @@ class Tl2Stm : public Stm {
 
 class Tl2Tx : public TxImplBase {
  public:
-  explicit Tl2Tx(StmStats& stats) : stats_(stats) {}
-
   void BeginAttempt() override;
   uint64_t Read(const TxFieldBase& field) override;
   void Write(TxFieldBase& field, uint64_t value) override;
   bool TryCommit() override;
   void AbortSelf() override;
 
-  size_t read_set_size() const { return read_set_.size(); }
-  size_t write_set_size() const { return write_log_.size(); }
-
- private:
+ protected:
   struct WriteEntry {
     TxFieldBase* field;
     uint64_t value;
   };
 
+  // Commit steps between lock acquisition and lock release. TakeWriteVersion
+  // sets *wv and validates the read set against it; on false the commit
+  // aborts. WriteBack makes the logged values visible at wv.
+  virtual bool TakeWriteVersion(uint64_t* wv);
+  virtual void WriteBack(uint64_t wv);
+  bool ValidateReadSet();
+
+  uint64_t rv_ = 0;  // the clock at the attempt's start
+  std::vector<WriteEntry> write_log_;
+
+ private:
   // Acquires the locks of the write set in lock-address order; returns
   // false (with everything released) if any lock is held by another
   // transaction.
   bool AcquireWriteLocks();
-  void ReleaseAcquired(uint64_t unlock_word_version, bool use_saved);
-  bool ValidateReadSet();
-
-  StmStats& stats_;
-  uint64_t rv_ = 0;
+  void ReleaseAcquired(uint64_t unlock_version, bool use_saved);
 
   std::vector<const sp::AtomicU64*> read_set_;
-  std::vector<WriteEntry> write_log_;
   WriteIndex write_index_;  // field -> its position in write_log_
 
   struct AcquiredLock {
@@ -65,13 +70,30 @@ class Tl2Tx : public TxImplBase {
     uint64_t saved_word;  // pre-lock word, restored on failed commit
   };
   std::vector<AcquiredLock> acquired_;  // sorted by lock address
-
-  // Local counters flushed to stats_ at attempt end.
-  int64_t local_reads_ = 0;
-  int64_t local_writes_ = 0;
-  int64_t local_validation_steps_ = 0;
-  void FlushLocalStats();
 };
+
+// Defined here so that MvTx's update-mode read inlines it.
+inline uint64_t Tl2Tx::Read(const TxFieldBase& field) {
+  ++tally_.reads;
+  if (const uint32_t pos = write_index_.Find(&field); pos != WriteIndex::kNotFound) {
+    return write_log_[pos].value;
+  }
+  const sp::AtomicU64& lock = field.LockWord();
+  // mo: acquire (both lock loads and the data load) — the pre/post lock
+  // check brackets the data read seqlock-style; each must see the writeback
+  // published by the committer's release of the lock.
+  const uint64_t pre = lock.load(std::memory_order_acquire);
+  const uint64_t value = field.LoadRaw(std::memory_order_acquire);
+  const uint64_t post = lock.load(std::memory_order_acquire);
+  if (LockTable::IsLocked(pre) || pre != post || LockTable::VersionOf(pre) > rv_) {
+    // Location is being written, or was written after this transaction's
+    // snapshot point: the snapshot cannot be extended in plain TL2.
+    SetTxAbortCause(AbortCause::kReadValidation, &lock);
+    throw TxAborted{};
+  }
+  read_set_.push_back(&lock);
+  return value;
+}
 
 }  // namespace sb7
 

@@ -374,5 +374,47 @@ TEST(McStmTest, SetupsResetTheCellsThroughTheStm) {
   }
 }
 
+// Records how many observers are installed at every commit it sees.
+class ObserverCountAtCommit final : public TxObserver {
+ public:
+  void OnTxBegin(bool) noexcept override {}
+  void OnTxCommit() noexcept override {
+    counts.push_back(internal::g_tx_observer_count.load());
+  }
+  void OnTxAbort(const TxAbortInfo&) noexcept override {}
+
+  std::vector<int> counts;
+};
+
+TEST(McStmTest, SetupsRecordTheirResets) {
+  // A setup installs its history recorder before its reset transactions
+  // commit, so CheckOpacity grounds x and y on the values the reset wrote.
+  // A recorder installed after the reset let the checker ground them on
+  // their first read and accept a stale starting value. A probe installed
+  // before setup() must see two observers at every reset's commit: itself
+  // and the recorder. Run outside the explorer, bodies in turn.
+  int setups = 0;
+  for (const Litmus& litmus : AllLitmuses()) {
+    if (litmus.name.rfind("stm-", 0) != 0 && litmus.name.rfind("mvstm-group-commit", 0) != 0) {
+      continue;
+    }
+    ++setups;
+    ObserverCountAtCommit probe;
+    ASSERT_TRUE(InstallTxObserver(&probe));
+    litmus.setup();
+    ASSERT_TRUE(RemoveTxObserver(&probe));
+    ASSERT_FALSE(probe.counts.empty()) << litmus.name;
+    for (const int count : probe.counts) {
+      EXPECT_EQ(count, 2) << litmus.name;
+    }
+    for (const auto& body : litmus.bodies) {
+      body();
+    }
+    EbrDomain::Global().Offline();
+    EXPECT_EQ(litmus.check(), "") << litmus.name;
+  }
+  EXPECT_EQ(setups, 32);  // six litmus per backend, two for group commit
+}
+
 }  // namespace
 }  // namespace sb7::mc

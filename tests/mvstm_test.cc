@@ -43,7 +43,7 @@ TEST(MvstmTest, ReadOnlySnapshotIgnoresLaterCommits) {
   stm.RunAtomically([&](Transaction&) { cell.value.Set(2); });
 
   // Pin a read-only transaction by hand, then let a writer commit past it.
-  MvTx reader(stm.stats());
+  MvTx reader;
   reader.SetReadOnly(true);
   reader.BeginAttempt();
   ASSERT_TRUE(reader.snapshot_mode());
@@ -73,7 +73,7 @@ TEST(MvstmTest, SnapshotReadsAreConsistentAcrossFields) {
   Cell a(0);
   Cell b(0);
 
-  MvTx reader(stm.stats());
+  MvTx reader;
   reader.SetReadOnly(true);
   reader.BeginAttempt();
   SetCurrentTx(&reader);

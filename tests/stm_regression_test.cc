@@ -221,14 +221,13 @@ TEST(MvstmRegressionTest, ReadOnlyRecordsZeroAbortsWhileWritersCommit) {
 TEST(TinyStmTest, SnapshotExtensionLetsDisjointReadersSurvive) {
   // A reader that reads A, then observes a newer version on B (because a
   // writer committed to B meanwhile), must extend — not abort — when A is
-  // untouched. Orchestrated deterministically from one thread using two STM
-  // handles and explicit transaction interleaving.
-  TinyStm stm;
+  // untouched. Orchestrated deterministically from one thread with a
+  // hand-built reader and explicit transaction interleaving.
   Cell a(1);
   Cell b(2);
 
   // Start a reader transaction by hand.
-  TinyTx reader(stm.stats());
+  TinyTx reader;
   reader.BeginAttempt();
   SetCurrentTx(&reader);
   EXPECT_EQ(a.value.Get(), 1);
@@ -247,11 +246,10 @@ TEST(TinyStmTest, SnapshotExtensionLetsDisjointReadersSurvive) {
 }
 
 TEST(TinyStmTest, ExtensionFailsWhenReadsAreStale) {
-  TinyStm stm;
   Cell a(1);
   Cell b(2);
 
-  TinyTx reader(stm.stats());
+  TinyTx reader;
   reader.BeginAttempt();
   SetCurrentTx(&reader);
   EXPECT_EQ(a.value.Get(), 1);

@@ -267,6 +267,58 @@ TEST_P(StmTest, StatsCountersAreConsistent) {
   EXPECT_GE(view.writes, 100);
 }
 
+// --- the retry loop ends every attempt: exact tallies and hooks ---
+
+TEST_P(StmTest, AnAbortedAttemptIsTalliedAndRunsItsAbortHooks) {
+  Cell a(1);
+  Cell b(0);
+  int attempts = 0;
+  int commit_hooks = 0;
+  int abort_hooks = 0;
+  stm_->RunAtomically([&](Transaction& tx) {
+    tx.OnCommit([&] { ++commit_hooks; });
+    tx.OnAbort([&] { ++abort_hooks; });
+    const int64_t seen = a.value.Get();
+    if (attempts++ == 0) {
+      throw TxAborted{};
+    }
+    b.value.Set(seen + 1);
+  });
+  const StmStats::View view = stm_->stats().Snapshot();
+  EXPECT_EQ(view.starts, 1);
+  EXPECT_EQ(view.commits, 1);
+  EXPECT_EQ(view.aborts, 1);
+  EXPECT_EQ(view.aborts_unknown, 1);
+  EXPECT_EQ(view.reads, 2);  // the aborted attempt's read counts too
+  EXPECT_EQ(view.writes, 1);
+  EXPECT_EQ(abort_hooks, 1);
+  EXPECT_EQ(commit_hooks, 1);
+  EXPECT_EQ(b.value.Get(), 2);
+}
+
+TEST_P(StmTest, AnOperationFailureCommitsItsAttemptOnceAndPropagates) {
+  Cell a(1);
+  Cell b(0);
+  int commit_hooks = 0;
+  int abort_hooks = 0;
+  EXPECT_THROW(stm_->RunAtomically([&](Transaction& tx) {
+                 tx.OnCommit([&] { ++commit_hooks; });
+                 tx.OnAbort([&] { ++abort_hooks; });
+                 b.value.Set(a.value.Get() + 1);
+                 throw FailureProbe{};
+               }),
+               FailureProbe);
+  const StmStats::View view = stm_->stats().Snapshot();
+  EXPECT_EQ(view.starts, 1);
+  EXPECT_EQ(view.commits, 1);
+  EXPECT_EQ(view.aborts, 0);
+  EXPECT_EQ(view.reads, 1);
+  EXPECT_EQ(view.writes, 1);
+  EXPECT_EQ(commit_hooks, 1);
+  EXPECT_EQ(abort_hooks, 0);
+  EXPECT_EQ(b.value.Get(), 2);
+}
+
 // --- captured memory: objects the running attempt built skip the STM ---
 
 TEST_P(StmTest, FieldsOfObjectsBuiltInTheAttemptSkipTheStm) {
