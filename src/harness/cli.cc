@@ -151,7 +151,7 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
     } else if (arg == "--no-sms") {
       config.structure_mods = false;
     } else if (arg == "--ttc-histograms") {
-      config.ttc_histograms = true;
+      result.ttc_histograms = true;
     } else if (arg == "-s") {
       if (!next(value) || (value != "tiny" && value != "small" && value != "medium")) {
         return fail("-s requires tiny, small or medium");
@@ -206,83 +206,78 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
       if (!next(value) || value.empty()) {
         return fail("--csv requires a file path");
       }
-      config.csv_path = value;
+      result.csv_path = value;
     } else if (arg == "--json") {
       if (!next(value) || value.empty()) {
         return fail("--json requires a file path");
       }
-      config.json_path = value;
+      result.json_path = value;
     } else if (arg == "--trace") {
       if (!next(value) || value.empty()) {
         return fail("--trace requires a file path");
       }
-      config.trace = true;
-      config.trace_path = value;
+      result.trace_path = value;
     } else if (arg == "--trace-sample") {
       int64_t period = 0;
       if (!next(value) || !ParseInt64(value, period) || period < 1) {
         return fail("--trace-sample requires a positive integer");
       }
-      config.trace_sample = static_cast<uint32_t>(period);
+      result.trace.sample_period = static_cast<uint32_t>(period);
       trace_knob_given = true;
     } else if (arg == "--trace-buffer") {
       int64_t capacity = 0;
       if (!next(value) || !ParseInt64(value, capacity) || capacity < 1) {
         return fail("--trace-buffer requires a positive integer");
       }
-      config.trace_buffer = static_cast<size_t>(capacity);
+      result.trace.ring_capacity = static_cast<size_t>(capacity);
       trace_knob_given = true;
     } else if (arg == "--telemetry") {
       if (!next(value) || value.empty()) {
         return fail("--telemetry requires a file path");
       }
-      config.telemetry = true;
-      config.telemetry_path = value;
+      result.telemetry_path = value;
     } else if (arg == "--telemetry-interval") {
       double seconds = 0;
       if (!next(value) || !ParseDouble(value, seconds) || seconds <= 0) {
         return fail("--telemetry-interval requires a positive number of seconds");
       }
-      config.telemetry_interval = seconds;
+      result.telemetry.interval_seconds = seconds;
       telemetry_knob_given = true;
     } else if (arg == "--metrics-port") {
       int64_t port = 0;
       if (!next(value) || !ParseInt64(value, port) || port < 0 || port > 65535) {
         return fail("--metrics-port requires a port number in [0,65535]");
       }
-      config.telemetry = true;
-      config.metrics_port = static_cast<int>(port);
+      result.telemetry.metrics_port = static_cast<int>(port);
     } else if (arg == "--no-hw-counters") {
-      config.telemetry_hw = false;
+      result.telemetry.hw_counters = false;
       telemetry_knob_given = true;
     } else if (arg == "--verify") {
-      config.verify_invariants = true;
+      result.verify_invariants = true;
     } else if (arg == "--check-opacity") {
-      config.check_opacity = true;
+      result.check_opacity = true;
     } else if (arg == "--redo-log") {
       if (!next(value) || value.empty()) {
         return fail("--redo-log requires a file path");
       }
-      config.redo_log_path = value;
+      result.redo_log.path = value;
     } else if (arg == "--durability") {
-      redo::Durability durability = redo::Durability::kOff;
-      if (!next(value) || !redo::ParseDurability(value, &durability)) {
+      if (!next(value) || !redo::ParseDurability(value, &result.redo_log.durability)) {
         return fail("--durability requires off, group or always");
       }
-      config.durability = value;
       durability_knob_given = true;
     } else if (arg == "--crash-at") {
       // <point>:<group>, e.g. torn-write:5.
       std::string::size_type colon;
       uint64_t group = 0;
       if (!next(value) || (colon = value.find(':')) == std::string::npos ||
-          !redo::ParseCrashPoint(value.substr(0, colon), &config.crash_point) ||
+          !redo::ParseCrashPoint(value.substr(0, colon), &result.redo_log.crash.point) ||
           !ParseUint64(value.substr(colon + 1), group)) {
         return fail(
             "--crash-at requires <point>:<group> with point one of "
             "before-append, torn-write, after-append");
       }
-      config.crash_at_group = group;
+      result.redo_log.crash.at_group = group;
       durability_knob_given = true;
     } else if (arg == "--recover") {
       if (!next(value) || value.empty()) {
@@ -414,21 +409,22 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
     return fail("--connect drives a --listen run, whose -g picks the strategy; "
                 "-g is not applicable");
   }
-  if (trace_knob_given && !config.trace) {
+  if (trace_knob_given && result.trace_path.empty()) {
     return fail("--trace-sample/--trace-buffer only apply with --trace <file>");
   }
-  if (telemetry_knob_given && !config.telemetry) {
+  if (telemetry_knob_given && result.telemetry_path.empty() &&
+      result.telemetry.metrics_port < 0) {
     return fail(
         "--telemetry-interval/--no-hw-counters only apply with --telemetry <file> "
         "or --metrics-port <n>");
   }
-  if (durability_knob_given && config.redo_log_path.empty()) {
+  if (durability_knob_given && result.redo_log.path.empty()) {
     return fail("--durability/--crash-at only apply with --redo-log <file>");
   }
-  if (!config.redo_log_path.empty() && config.strategy != "mvstm") {
+  if (!result.redo_log.path.empty() && config.strategy != "mvstm") {
     return fail("--redo-log requires -g mvstm (group commit is an mvstm capability)");
   }
-  if (!result.recover_path.empty() && !config.redo_log_path.empty()) {
+  if (!result.recover_path.empty() && !result.redo_log.path.empty()) {
     return fail("--recover replays an existing log; it cannot be combined with --redo-log");
   }
   return result;

@@ -10,7 +10,10 @@
 #include <string>
 #include <vector>
 
+#include "src/common/redo_options.h"
 #include "src/harness/driver.h"
+#include "src/telemetry/telemetry.h"
+#include "src/trace/tracer.h"
 
 namespace sb7 {
 
@@ -49,6 +52,29 @@ struct ConnectCli {
 struct CliResult {
   BenchConfig config;
   bool show_help = false;
+  // Print per-operation TTC (latency) histograms (--ttc-histograms).
+  bool ttc_histograms = false;
+  // Run the structural invariant checker after the benchmark (--verify).
+  bool verify_invariants = false;
+  // Record committed read/write sets during the run and check the history
+  // for opacity afterwards (--check-opacity; STM strategies only).
+  bool check_opacity = false;
+  // Machine-readable reports, written when non-empty (--csv, --json).
+  std::string csv_path;
+  std::string json_path;
+  // Trace the run and write a Chrome trace-event JSON timeline here
+  // (--trace; --trace-sample and --trace-buffer set `trace`).
+  std::string trace_path;
+  trace::TraceOptions trace;
+  // Sample live telemetry and write the series as versioned JSONL here
+  // (--telemetry). A run samples when this is set or telemetry.metrics_port
+  // is >= 0 (--metrics-port; --telemetry-interval and --no-hw-counters set
+  // the rest of `telemetry`).
+  std::string telemetry_path;
+  telemetry::TelemetryOptions telemetry;
+  // Durable redo log, kept when redo_log.path is set (--redo-log,
+  // --durability, --crash-at; -g mvstm only, docs/DURABILITY.md).
+  redo::LogOptions redo_log;
   // True when -g was given explicitly (config.strategy alone cannot tell an
   // explicit "-g coarse" from the default; --fuzz needs the distinction).
   bool strategy_given = false;

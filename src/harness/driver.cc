@@ -6,8 +6,6 @@
 
 #include "src/common/timing.h"
 #include "src/ebr/ebr.h"
-#include "src/mvstm/mvstm.h"
-#include "src/mvstm/redo_log.h"
 
 namespace sb7 {
 namespace {
@@ -30,50 +28,17 @@ constexpr size_t kConflictTopK = 8;
 
 }  // namespace
 
-BenchmarkRunner::BenchmarkRunner(const BenchConfig& config) : config_(config) {
+BenchmarkRunner::BenchmarkRunner(const BenchConfig& config, const RunInstruments& instruments)
+    : config_(config),
+      tracer_(instruments.tracer),
+      telemetry_(instruments.telemetry),
+      ingress_(instruments.ingress) {
   SB7_CHECK(config_.threads >= 1);
   SB7_CHECK(config_.length_seconds > 0);
   strategy_ = MakeStrategy(config_.strategy, config_.contention_manager);
   SB7_CHECK(strategy_ != nullptr);
 
-  if (!config_.redo_log_path.empty()) {
-    // Group commit + redo logging is an mvstm capability (the CLI validates
-    // this; programmatic callers get the check below).
-    auto* mvstm = dynamic_cast<MvStm*>(strategy_->stm());
-    SB7_CHECK(mvstm != nullptr);
-    redo::Durability durability = redo::Durability::kOff;
-    SB7_CHECK(redo::ParseDurability(config_.durability, &durability));
-    redo_writer_ =
-        std::make_unique<redo::RedoLogWriter>(config_.redo_log_path, durability);
-    SB7_CHECK(redo_writer_->ok());
-    if (config_.crash_point != redo::CrashPoint::kNone) {
-      redo::CrashConfig crash;
-      crash.point = config_.crash_point;
-      crash.at_group = config_.crash_at_group;
-      redo_writer_->SetCrashConfig(std::move(crash));
-    }
-    // The header precedes the workers; every later append comes from the
-    // group-commit leader, so the writer never needs internal locking.
-    redo_writer_->WriteFileHeader(config_.seed, config_.scale, config_.strategy);
-    sequencer_ = std::make_unique<GroupCommitSequencer>(redo_writer_.get());
-    mvstm->AttachSequencer(sequencer_.get());
-  }
-
-  if (config_.trace || !config_.trace_path.empty()) {
-    config_.trace = true;
-    trace::TraceOptions options;
-    options.ring_capacity = config_.trace_buffer;
-    options.sample_period = config_.trace_sample > 0 ? config_.trace_sample : 1;
-    tracer_ = std::make_unique<trace::Tracer>(options);
-  }
-
-  if (config_.telemetry || !config_.telemetry_path.empty() || config_.metrics_port >= 0) {
-    config_.telemetry = true;
-    telemetry::TelemetryOptions options;
-    options.interval_seconds = config_.telemetry_interval;
-    options.hw_counters = config_.telemetry_hw;
-    options.metrics_port = config_.metrics_port;
-    telemetry_ = std::make_unique<telemetry::Telemetry>(options);
+  if (telemetry_ != nullptr) {
     // Hardware counters must open before the worker threads exist —
     // perf_event inherit only covers threads spawned afterwards.
     telemetry_->StartHw();
@@ -244,7 +209,6 @@ void BenchmarkRunner::WorkerLoop(int worker_index, Rng rng,
   const auto& ops = registry_.all();
   const int64_t budget = config_.max_operations;
   const int phase_count = static_cast<int>(phases_.size());
-  IngressQueue* const ingress = config_.ingress;
   std::vector<ArrivalSchedule> schedules(phases_.size());
   // This iteration's operations: a batch of admitted client requests in a
   // served run, otherwise one locally sampled operation (request_id 0, due
@@ -288,20 +252,20 @@ void BenchmarkRunner::WorkerLoop(int worker_index, Rng rng,
     // that lateness is read against for the backlog estimate (0 = none).
     bool paced = false;
     double pace_rate = 0.0;
-    if (ingress != nullptr) {
+    if (ingress_ != nullptr) {
       // Served run: drain admitted client requests in batches instead of
       // sampling operations locally. The phase checks above still apply, so
       // a scenario can reshape thread count / hotspot skew mid-serve; the
       // arrival process itself lives on the clients, so a request is due
       // when it was admitted and the backlog is the queue depth itself.
-      if (ingress->PopBatch(&work, kIngressBatch, /*timeout_ms=*/5) == 0) {
-        if (ingress->closed()) {
+      if (ingress_->PopBatch(&work, kIngressBatch, /*timeout_ms=*/5) == 0) {
+        if (ingress_->closed()) {
           break;  // drained and no more producers: run is over
         }
         continue;  // idle tick; re-check phase deadline at the loop top
       }
       pace[p].backlog_peak =
-          std::max(pace[p].backlog_peak, static_cast<int64_t>(ingress->size()));
+          std::max(pace[p].backlog_peak, static_cast<int64_t>(ingress_->size()));
       paced = true;
     } else {
       // Claim a phase slot before touching the global budget: workers
@@ -363,13 +327,13 @@ void BenchmarkRunner::WorkerLoop(int worker_index, Rng rng,
 
     bool budget_hit = false;
     for (const IngressRequest& request : work) {
-      if (ingress != nullptr &&
+      if (ingress_ != nullptr &&
           (budget_hit || (budget >= 0 && started_budget_.fetch_add(
                                              1, std::memory_order_relaxed) >= budget))) {
         // Out of budget: the popped request must still be answered, and
         // kRejected is the honest outcome — it was never executed.
         budget_hit = true;
-        ingress->Complete(request, IngressStatus::kRejected, 0);
+        ingress_->Complete(request, IngressStatus::kRejected, 0);
         continue;
       }
       const int64_t begin = NowNanos();
@@ -378,15 +342,14 @@ void BenchmarkRunner::WorkerLoop(int worker_index, Rng rng,
       }
       if (request.op_index >= ops.size()) {
         // Only a client can name an operation the registry does not have.
-        ingress->Complete(request, IngressStatus::kBadRequest, 0);
+        ingress_->Complete(request, IngressStatus::kBadRequest, 0);
         continue;
       }
       const int index = request.op_index;
-      SetTxOpContext(index);
-      // Tag the attempt context so the redo log's member records carry the
-      // client's request id — what makes `acked ⊆ durable` checkable
-      // against a recovered log (tests/recovery_test.cc).
-      redo::SetCaptureClientTag(request.request_id);
+      // The request id rides along so a redo log's member records carry it:
+      // what makes `acked ⊆ durable` checkable against a recovered log
+      // (tests/recovery_test.cc).
+      SetTxOpContext(index, request.request_id);
       IngressStatus status = IngressStatus::kOk;
       int64_t latency = 0;
       try {
@@ -403,10 +366,9 @@ void BenchmarkRunner::WorkerLoop(int worker_index, Rng rng,
                              status == IngressStatus::kOk ? latency : 0);
       }
       SetTxOpContext(-1);
-      redo::SetCaptureClientTag(0);
       phase.executed.fetch_add(1, std::memory_order_relaxed);
-      if (ingress != nullptr) {
-        ingress->Complete(request, status, latency);
+      if (ingress_ != nullptr) {
+        ingress_->Complete(request, status, latency);
       }
     }
     EbrDomain::Global().Quiesce();
@@ -472,22 +434,17 @@ BenchResult BenchmarkRunner::Run() {
       current_phase_.store(static_cast<int>(phase_count), std::memory_order_relaxed);
     }
   }
-  if (config_.ingress != nullptr) {
+  if (ingress_ != nullptr) {
     // The run is over: close the queue so the front-end's TryPush turns
     // every later arrival into an immediate typed rejection, then reject
     // whatever was admitted but never popped — a closed-loop client must
     // never be left waiting on a request no worker will execute.
-    config_.ingress->Close();
+    ingress_->Close();
     std::vector<IngressRequest> stranded;
-    config_.ingress->PopBatch(&stranded, config_.ingress->capacity(), /*timeout_ms=*/0);
+    ingress_->PopBatch(&stranded, ingress_->capacity(), /*timeout_ms=*/0);
     for (const IngressRequest& request : stranded) {
-      config_.ingress->Complete(request, IngressStatus::kRejected, 0);
+      ingress_->Complete(request, IngressStatus::kRejected, 0);
     }
-  }
-  if (redo_writer_ != nullptr) {
-    // Workers are joined: no commit can race the close record. A writer a
-    // crash point killed stays frozen in its crash state (Close is dropped).
-    redo_writer_->Close();
   }
   if (telemetry_ != nullptr) {
     // Takes the tail sample, joins the sampler and shuts the exposition

@@ -21,7 +21,6 @@
 #include <string>
 
 #include "src/common/hotspot.h"
-#include "src/mvstm/group_commit.h"
 #include "src/core/data_holder.h"
 #include "src/harness/ingress.h"
 #include "src/harness/metrics.h"
@@ -55,76 +54,35 @@ struct BenchConfig {
   // proportionally to their duration weights.
   std::optional<Scenario> scenario;
 
-  bool ttc_histograms = false;
-  // Run the structural invariant checker after the benchmark (CLI --verify).
-  bool verify_invariants = false;
-  // Record committed read/write sets during the run and check the history
-  // for opacity afterwards (CLI --check-opacity; STM strategies only).
-  bool check_opacity = false;
-
-  // Install the tracer (src/trace/) for the run: conflict attribution,
-  // latency decomposition, and sampled lifecycle events. Implied by a
-  // non-empty trace_path; sb7-bench sets it directly for --trace-cells.
-  bool trace = false;
-  // When non-empty, the CLI writes a Chrome trace-event JSON timeline here
-  // (CLI --trace; implies `trace`).
-  std::string trace_path;
-  // Record every Nth transaction's lifecycle events (CLI --trace-sample).
-  uint32_t trace_sample = 1;
-  // Per-thread event-ring capacity in events, rounded up to a power of two
-  // (CLI --trace-buffer).
-  size_t trace_buffer = 1 << 16;
-  // Install the live telemetry subsystem (src/telemetry/): background
-  // sampler, metrics registry, hardware counters. Implied by a non-empty
-  // telemetry_path or a metrics_port >= 0; sb7-bench sets it directly to
-  // keep the series in memory for steady-state detection.
-  bool telemetry = false;
-  // When non-empty, the CLI flushes the sampled series as a versioned JSONL
-  // artifact here (CLI --telemetry; implies `telemetry`).
-  std::string telemetry_path;
-  // Sampler tick interval in seconds (CLI --telemetry-interval).
-  double telemetry_interval = 1.0;
-  // TCP port for the /metrics + /series exposition endpoint; -1 = off,
-  // 0 = ephemeral (CLI --metrics-port; implies `telemetry`).
-  int metrics_port = -1;
-  // Open perf_event hardware counters for the run (graceful no-op when
-  // unavailable); only meaningful with telemetry enabled.
-  bool telemetry_hw = true;
-  // When non-empty, the CLI writes a machine-readable CSV here.
-  std::string csv_path;
-  // When non-empty, the CLI writes a machine-readable JSON report here.
-  std::string json_path;
-  // Durable redo log (mvstm only, docs/DURABILITY.md): when non-empty the
-  // runner opens a RedoLogWriter here, attaches a group-commit sequencer to
-  // the backend, and closes the log when the run ends (CLI --redo-log).
-  std::string redo_log_path;
-  // Fsync policy for the redo log: "off" | "group" | "always"
-  // (CLI --durability; meaningful only with a redo log).
-  std::string durability = "off";
-  // Fault injection for the crash-recovery tests (CLI --crash-at): fires the
-  // configured crash point when the log reaches `crash_at_group` groups.
-  // kNone = disabled. The default on_fire (_Exit(137)) stands in for kill -9.
-  redo::CrashPoint crash_point = redo::CrashPoint::kNone;
-  uint64_t crash_at_group = 0;
   uint64_t seed = 20070326;
 
   // Optional cap on started operations (whichever of time/cap hits first);
   // -1 = unlimited. Used by tests and benches for determinism.
   int64_t max_operations = -1;
+};
 
-  // Served run (CLI --listen, sb7-bench wire cells): when set, workers stop
-  // sampling operations locally and instead drain admitted client requests
-  // from this queue in batches, executing each under the current phase's
-  // accounting (per-op metrics, telemetry, queue-delay percentiles) and
-  // answering it through IngressQueue::Complete. The queue must outlive
-  // the runner; the run ends when the queue is closed and drained, or at
-  // the usual wall-clock deadline.
+// What a caller plugs into a run, built and owned by the caller: every
+// pointer is optional and must outlive the runner.
+struct RunInstruments {
+  // Conflict attribution, latency decomposition and sampled lifecycle
+  // events; installed for the duration of Run(). The caller drains the
+  // timeline afterwards.
+  trace::Tracer* tracer = nullptr;
+  // Live telemetry: the runner opens its hardware counters, feeds it STM
+  // counters, phase gauges and every operation, and runs its sampler for the
+  // duration of Run(). The caller serves /metrics and writes the series.
+  telemetry::Telemetry* telemetry = nullptr;
+  // Served run: workers stop sampling operations locally and instead drain
+  // admitted client requests from this queue in batches, executing each
+  // under the current phase's accounting and answering it through
+  // IngressQueue::Complete. The run ends when the queue is closed and
+  // drained, or at the usual wall-clock deadline.
   IngressQueue* ingress = nullptr;
 };
 
 class BenchmarkRunner {
  public:
-  explicit BenchmarkRunner(const BenchConfig& config);
+  explicit BenchmarkRunner(const BenchConfig& config, const RunInstruments& instruments = {});
 
   // Runs the configured workload to completion. May be called once.
   BenchResult Run();
@@ -133,26 +91,9 @@ class BenchmarkRunner {
   DataHolder& data() { return *data_; }
   SyncStrategy& strategy() const { return *strategy_; }
   const OperationRegistry& registry() const { return registry_; }
-  // Phase-duration-weighted mix over the whole run (equals the single
-  // phase's ratios for plain runs).
-  const std::vector<double>& ratios() const { return ratios_; }
   // Number of worker threads actually spawned (the max active count over
   // all phases; a scenario thread ramp can exceed config().threads).
   int spawned_threads() const { return spawn_threads_; }
-  // The run's tracer; null unless the config enabled tracing. Valid for the
-  // runner's lifetime — the CLI drains it for the timeline export after
-  // Run() returns.
-  trace::Tracer* tracer() const { return tracer_.get(); }
-  // The run's telemetry facade; null unless the config enabled telemetry.
-  // Valid for the runner's lifetime — the CLI starts the exposition server
-  // before Run() and flushes the JSONL artifact after; sb7-bench reads the
-  // series for steady-state detection.
-  telemetry::Telemetry* telemetry() const { return telemetry_.get(); }
-  // The run's redo-log writer; null unless config().redo_log_path is set.
-  // Valid for the runner's lifetime — the CLI reads the append stats for the
-  // run-end durability summary after Run() returns (the log itself is closed
-  // by then).
-  redo::RedoLogWriter* redo_writer() const { return redo_writer_.get(); }
 
  private:
   // One scenario phase, resolved against the run-level configuration.
@@ -198,13 +139,12 @@ class BenchmarkRunner {
   StmStats::View StmSnapshot() const;
 
   BenchConfig config_;
+  trace::Tracer* const tracer_;
+  telemetry::Telemetry* const telemetry_;
+  IngressQueue* const ingress_;
   OperationRegistry registry_;
   std::unique_ptr<SyncStrategy> strategy_;
-  std::unique_ptr<redo::RedoLogWriter> redo_writer_;
-  std::unique_ptr<GroupCommitSequencer> sequencer_;
   std::unique_ptr<DataHolder> data_;
-  std::unique_ptr<trace::Tracer> tracer_;
-  std::unique_ptr<telemetry::Telemetry> telemetry_;
   std::vector<double> ratios_;
   int spawn_threads_ = 1;
 

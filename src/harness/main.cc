@@ -7,6 +7,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <optional>
 
 #include "src/check/differential.h"
@@ -15,7 +16,7 @@
 #include "src/core/invariants.h"
 #include "src/harness/cli.h"
 #include "src/harness/report.h"
-#include "src/mvstm/redo_log.h"
+#include "src/mvstm/durable_log.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
 #include "src/trace/chrome_trace.h"
@@ -206,14 +207,33 @@ int main(int argc, char** argv) {
     return RunConnectMode(cli.config, *cli.connect);
   }
 
-  // --listen: the workers drain the requests the server admits into this
-  // queue instead of sampling operations locally.
+  // The run's instruments. --listen: the workers drain the requests the
+  // server admits into the queue instead of sampling operations locally.
   sb7::IngressQueue ingress(sb7::kIngressCapacity);
+  std::optional<sb7::trace::Tracer> tracer;
+  std::optional<sb7::telemetry::Telemetry> telemetry;
+  sb7::RunInstruments instruments;
   if (cli.listen_port.has_value()) {
-    cli.config.ingress = &ingress;
+    instruments.ingress = &ingress;
+  }
+  if (!cli.trace_path.empty()) {
+    instruments.tracer = &tracer.emplace(cli.trace);
+  }
+  if (!cli.telemetry_path.empty() || cli.telemetry.metrics_port >= 0) {
+    instruments.telemetry = &telemetry.emplace(cli.telemetry);
   }
   std::cerr << "building the " << cli.config.scale << " structure...\n";
-  sb7::BenchmarkRunner runner(cli.config);
+  sb7::BenchmarkRunner runner(cli.config, instruments);
+  std::unique_ptr<sb7::DurableLog> redo_log;
+  if (!cli.redo_log.path.empty()) {
+    std::string error;
+    redo_log = sb7::DurableLog::Open(runner.strategy().stm(), cli.redo_log, cli.config.seed,
+                                     cli.config.scale, &error);
+    if (redo_log == nullptr) {
+      std::cerr << "error: " << error << "\n";
+      return 2;
+    }
+  }
   std::optional<sb7::net::OpServer> server;
   if (cli.listen_port.has_value()) {
     server.emplace(sb7::net::ServerOptions{*cli.listen_port}, &ingress,
@@ -236,34 +256,38 @@ int main(int argc, char** argv) {
   std::cerr << "...\n";
 
   sb7::HistoryRecorder recorder;
-  const bool record_opacity = cli.config.check_opacity && runner.strategy().stm() != nullptr;
-  if (cli.config.check_opacity && !record_opacity) {
+  const bool record_opacity = cli.check_opacity && runner.strategy().stm() != nullptr;
+  if (cli.check_opacity && !record_opacity) {
     std::cerr << "note: --check-opacity records transactional histories; strategy '"
               << cli.config.strategy << "' runs no transactions, nothing to check\n";
   }
   if (record_opacity) {
     recorder.Install();
   }
-  if (cli.config.metrics_port >= 0 && runner.telemetry() != nullptr) {
+  if (cli.telemetry.metrics_port >= 0) {
     std::string error;
-    if (runner.telemetry()->StartServer(&error)) {
-      std::cerr << "metrics endpoint listening on port " << runner.telemetry()->server_port()
+    if (telemetry->StartServer(&error)) {
+      std::cerr << "metrics endpoint listening on port " << telemetry->server_port()
                 << " (/metrics, /series)\n";
     } else {
       std::cerr << "warning: metrics endpoint disabled: " << error << "\n";
     }
   }
-  if (runner.telemetry() != nullptr && !runner.telemetry()->hw_available()) {
-    const std::string& detail = runner.telemetry()->hw_detail();
+  if (telemetry.has_value() && !telemetry->hw_available()) {
+    const std::string& detail = telemetry->hw_detail();
     if (!detail.empty()) {
       std::cerr << "note: hardware counters unavailable: " << detail << "\n";
     }
   }
   const sb7::BenchResult result = runner.Run();
+  if (redo_log != nullptr) {
+    // Workers are joined: no commit can race the close record.
+    redo_log->Close();
+  }
   if (record_opacity) {
     recorder.Uninstall();
   }
-  sb7::PrintReport(std::cout, runner, result);
+  sb7::PrintReport(std::cout, runner, result, cli.ttc_histograms);
   if (server.has_value()) {
     // Run() closed the queue and answered everything admitted; late
     // arrivals got typed rejections until now.
@@ -275,8 +299,8 @@ int main(int argc, char** argv) {
               << ingress.rejected() << "\n";
   }
 
-  if (runner.redo_writer() != nullptr) {
-    const sb7::redo::RedoLogWriter& writer = *runner.redo_writer();
+  if (redo_log != nullptr) {
+    const sb7::redo::RedoLogWriter& writer = redo_log->writer();
     const sb7::redo::WriterStats& stats = writer.stats();
     std::cerr << "redo log: " << writer.path() << " — " << stats.groups
               << " groups, " << stats.members << " commits, " << stats.bytes
@@ -289,50 +313,50 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!cli.config.csv_path.empty()) {
-    std::ofstream csv(cli.config.csv_path);
+  if (!cli.csv_path.empty()) {
+    std::ofstream csv(cli.csv_path);
     if (!csv) {
-      std::cerr << "error: cannot write " << cli.config.csv_path << "\n";
+      std::cerr << "error: cannot write " << cli.csv_path << "\n";
       return 2;
     }
     sb7::WriteCsv(csv, runner, result);
-    std::cerr << "CSV written to " << cli.config.csv_path << "\n";
+    std::cerr << "CSV written to " << cli.csv_path << "\n";
   }
 
-  if (!cli.config.trace_path.empty()) {
-    std::ofstream trace(cli.config.trace_path);
+  if (!cli.trace_path.empty()) {
+    std::ofstream trace(cli.trace_path);
     if (!trace) {
-      std::cerr << "error: cannot write " << cli.config.trace_path << "\n";
+      std::cerr << "error: cannot write " << cli.trace_path << "\n";
       return 2;
     }
     sb7::trace::ChromeTraceOptions options;
     for (const auto& op : runner.registry().all()) {
       options.op_names.push_back(op->name());
     }
-    sb7::trace::WriteChromeTrace(trace, runner.tracer()->DrainEvents(), options);
-    std::cerr << "trace timeline written to " << cli.config.trace_path
+    sb7::trace::WriteChromeTrace(trace, tracer->DrainEvents(), options);
+    std::cerr << "trace timeline written to " << cli.trace_path
               << " (open in Perfetto or chrome://tracing)\n";
   }
 
-  if (!cli.config.telemetry_path.empty()) {
-    std::ofstream telemetry(cli.config.telemetry_path);
-    if (!telemetry) {
-      std::cerr << "error: cannot write " << cli.config.telemetry_path << "\n";
+  if (!cli.telemetry_path.empty()) {
+    std::ofstream series(cli.telemetry_path);
+    if (!series) {
+      std::cerr << "error: cannot write " << cli.telemetry_path << "\n";
       return 2;
     }
-    runner.telemetry()->WriteJsonl(telemetry);
-    std::cerr << "telemetry series written to " << cli.config.telemetry_path << " ("
-              << runner.telemetry()->SeriesSnapshot().size() << " samples)\n";
+    telemetry->WriteJsonl(series);
+    std::cerr << "telemetry series written to " << cli.telemetry_path << " ("
+              << telemetry->SeriesSnapshot().size() << " samples)\n";
   }
 
-  if (!cli.config.json_path.empty()) {
-    std::ofstream json(cli.config.json_path);
+  if (!cli.json_path.empty()) {
+    std::ofstream json(cli.json_path);
     if (!json) {
-      std::cerr << "error: cannot write " << cli.config.json_path << "\n";
+      std::cerr << "error: cannot write " << cli.json_path << "\n";
       return 2;
     }
     sb7::WriteJson(json, runner, result);
-    std::cerr << "JSON written to " << cli.config.json_path << "\n";
+    std::cerr << "JSON written to " << cli.json_path << "\n";
   }
 
   int exit_code = 0;
@@ -366,7 +390,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (cli.config.verify_invariants) {
+  if (cli.verify_invariants) {
     const sb7::InvariantReport report = sb7::CheckInvariants(runner.data());
     if (!report.ok()) {
       std::cerr << "INVARIANT VIOLATIONS (" << report.violations.size() << "):\n";

@@ -129,7 +129,8 @@ void WriteStmJson(std::ostream& out, const StmStats::View& stm, const char* inde
   out << indent << "}";
 }
 
-void PrintReport(std::ostream& out, const BenchmarkRunner& runner, const BenchResult& result) {
+void PrintReport(std::ostream& out, const BenchmarkRunner& runner, const BenchResult& result,
+                 bool ttc_histograms) {
   const BenchConfig& config = runner.config();
   const auto& ops = runner.registry().all();
 
@@ -161,7 +162,7 @@ void PrintReport(std::ostream& out, const BenchmarkRunner& runner, const BenchRe
   }
   out << "  seed:                " << config.seed << "\n";
 
-  if (config.ttc_histograms) {
+  if (ttc_histograms) {
     out << "\n== TTC histograms ==\n";
     for (size_t i = 0; i < ops.size(); ++i) {
       if (result.per_op[i].success == 0) {

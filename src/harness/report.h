@@ -10,7 +10,10 @@
 
 namespace sb7 {
 
-void PrintReport(std::ostream& out, const BenchmarkRunner& runner, const BenchResult& result);
+// `ttc_histograms` adds each operation's TTC (latency) histogram
+// (--ttc-histograms).
+void PrintReport(std::ostream& out, const BenchmarkRunner& runner, const BenchResult& result,
+                 bool ttc_histograms = false);
 
 // Name of a conflict-table op slot: slot 0 is activity outside any
 // operation (setup, tests), slot i+1 is registry op i.

@@ -291,11 +291,14 @@ Litmus MakeStmLostUpdate(std::string_view backend) {
   return litmus;
 }
 
-Litmus MakeStmSnapshot(std::string_view backend) {
+// `reversed` reads y before x. Against a writer that lands x first, that
+// reader can open y before the commit and x once x's image has landed.
+Litmus MakeStmSnapshot(std::string_view backend, bool reversed) {
   auto cells = std::make_shared<StmCells>(backend);
   Litmus litmus;
-  litmus.name = "stm-snapshot-" + std::string(backend);
-  litmus.summary = "reader never observes a half-applied x=y=1 write pair";
+  litmus.name = (reversed ? "stm-snapshot-reversed-" : "stm-snapshot-") + std::string(backend);
+  litmus.summary = reversed ? "reader of y, then x, never observes a half-applied x=y=1 pair"
+                            : "reader never observes a half-applied x=y=1 write pair";
   litmus.expect_violation = false;
   litmus.setup = [cells] { StmSetup(cells); };
   litmus.bodies = {
@@ -306,11 +309,16 @@ Litmus MakeStmSnapshot(std::string_view backend) {
         });
       },
       // Read-only hint: exercises mvstm's abort-free snapshot path.
-      [cells] {
+      [cells, reversed] {
         cells->stm->RunAtomically(
             [&](Transaction&) {
+              if (reversed) {
+                cells->r2 = cells->y.value.Get();
+              }
               cells->r1 = cells->x.value.Get();
-              cells->r2 = cells->y.value.Get();
+              if (!reversed) {
+                cells->r2 = cells->y.value.Get();
+              }
             },
             /*read_only=*/true);
       },
@@ -655,7 +663,8 @@ std::vector<Litmus> BuildAll() {
   all.push_back(MakeDpor2x2());
   for (const char* backend : {"tl2", "tinystm", "norec", "astm", "mvstm"}) {
     all.push_back(MakeStmLostUpdate(backend));
-    all.push_back(MakeStmSnapshot(backend));
+    all.push_back(MakeStmSnapshot(backend, /*reversed=*/false));
+    all.push_back(MakeStmSnapshot(backend, /*reversed=*/true));
     all.push_back(MakeStmIncrementPair(backend));
     all.push_back(MakeStmWriteSkew(backend));
     all.push_back(MakeStmAbortedWrite(backend));

@@ -77,7 +77,6 @@ class GroupCommitSequencer {
   bool CommitThrough(MvTx& tx, uint64_t* wv_out);
 
   redo::RedoLogWriter* writer() const { return writer_; }
-  size_t max_group() const { return max_group_; }
 
  private:
   enum Outcome : int {

@@ -14,6 +14,7 @@
 
 #include "src/check/fingerprint.h"
 #include "src/common/hotspot.h"
+#include "src/common/little_endian.h"
 #include "src/core/data_holder.h"
 #include "src/core/invariants.h"
 #include "src/core/parameters.h"
@@ -24,104 +25,6 @@
 
 namespace sb7::redo {
 namespace {
-
-// Little-endian, byte-by-byte codec helpers (same discipline as
-// src/net/wire.cc: the format must be identical across hosts).
-void AppendU16(std::string* out, uint16_t value) {
-  out->push_back(static_cast<char>(value & 0xFF));
-  out->push_back(static_cast<char>((value >> 8) & 0xFF));
-}
-
-void AppendU32(std::string* out, uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
-}
-
-void AppendDouble(std::string* out, double value) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  __builtin_memcpy(&bits, &value, sizeof(bits));
-  AppendU64(out, bits);
-}
-
-// Short strings (scale / backend names): u8 length + bytes.
-void AppendString(std::string* out, const std::string& value) {
-  const size_t len = value.size() < 255 ? value.size() : 255;
-  out->push_back(static_cast<char>(len));
-  out->append(value.data(), len);
-}
-
-// Bounds-checked reader over a record body.
-struct BodyReader {
-  const std::string& body;
-  size_t pos = 0;
-
-  bool ReadU8(uint8_t* out) {
-    if (pos + 1 > body.size()) {
-      return false;
-    }
-    *out = static_cast<uint8_t>(body[pos++]);
-    return true;
-  }
-  bool ReadU16(uint16_t* out) {
-    if (pos + 2 > body.size()) {
-      return false;
-    }
-    *out = static_cast<uint16_t>(static_cast<uint8_t>(body[pos]) |
-                                 (static_cast<uint8_t>(body[pos + 1]) << 8));
-    pos += 2;
-    return true;
-  }
-  bool ReadU32(uint32_t* out) {
-    if (pos + 4 > body.size()) {
-      return false;
-    }
-    uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      value |= static_cast<uint32_t>(static_cast<uint8_t>(body[pos + i])) << (8 * i);
-    }
-    pos += 4;
-    *out = value;
-    return true;
-  }
-  bool ReadU64(uint64_t* out) {
-    if (pos + 8 > body.size()) {
-      return false;
-    }
-    uint64_t value = 0;
-    for (int i = 0; i < 8; ++i) {
-      value |= static_cast<uint64_t>(static_cast<uint8_t>(body[pos + i])) << (8 * i);
-    }
-    pos += 8;
-    *out = value;
-    return true;
-  }
-  bool ReadDouble(double* out) {
-    uint64_t bits = 0;
-    if (!ReadU64(&bits)) {
-      return false;
-    }
-    __builtin_memcpy(out, &bits, sizeof(*out));
-    return true;
-  }
-  bool ReadString(std::string* out) {
-    uint8_t len = 0;
-    if (!ReadU8(&len) || pos + len > body.size()) {
-      return false;
-    }
-    out->assign(body, pos, len);
-    pos += len;
-    return true;
-  }
-  bool AtEnd() const { return pos == body.size(); }
-};
 
 // Frame layout constants: u32 body_len + u32 header_crc, then body, then
 // u32 body_crc.
@@ -144,7 +47,6 @@ bool CutShortByReservedTail(const std::string& bytes, size_t last) {
   return last + 1 < bytes.size() && ZerosFrom(bytes, last);
 }
 
-thread_local uint64_t tls_client_tag = 0;
 thread_local MemberRecord tls_attempt_context;
 
 }  // namespace
@@ -177,8 +79,8 @@ std::string EncodeFileHeader(const FileHeaderRecord& record) {
   AppendU32(&body, record.magic);
   AppendU32(&body, record.version);
   AppendU64(&body, record.seed);
-  AppendString(&body, record.scale);
-  AppendString(&body, record.backend);
+  AppendShortString(&body, record.scale);
+  AppendShortString(&body, record.backend);
   return body;
 }
 
@@ -208,7 +110,7 @@ std::string EncodeClose(const CloseRecord& record) {
 }
 
 bool DecodeRecord(const std::string& body, RedoRecord* out) {
-  BodyReader reader{body};
+  ByteReader reader{body};
   uint8_t type = 0;
   if (!reader.ReadU8(&type)) {
     return false;
@@ -218,8 +120,8 @@ bool DecodeRecord(const std::string& body, RedoRecord* out) {
       out->type = RecordType::kFileHeader;
       FileHeaderRecord& header = out->header;
       return reader.ReadU32(&header.magic) && reader.ReadU32(&header.version) &&
-             reader.ReadU64(&header.seed) && reader.ReadString(&header.scale) &&
-             reader.ReadString(&header.backend) && reader.AtEnd();
+             reader.ReadU64(&header.seed) && reader.ReadShortString(&header.scale) &&
+             reader.ReadShortString(&header.backend) && reader.AtEnd();
     }
     case RecordType::kGroup: {
       out->type = RecordType::kGroup;
@@ -272,7 +174,7 @@ ExtractStatus TryExtractRecord(const std::string& bytes, size_t* offset,
     *detail = "truncated frame header";
     return ExtractStatus::kTornTail;
   }
-  BodyReader header{bytes, *offset};
+  ByteReader header{bytes, *offset};
   uint32_t body_len = 0;
   uint32_t header_crc = 0;
   header.ReadU32(&body_len);
@@ -294,7 +196,7 @@ ExtractStatus TryExtractRecord(const std::string& bytes, size_t* offset,
     return ExtractStatus::kTornTail;
   }
   const size_t body_start = *offset + kFrameHeaderBytes;
-  BodyReader trailer{bytes, body_start + body_len};
+  ByteReader trailer{bytes, body_start + body_len};
   uint32_t body_crc = 0;
   trailer.ReadU32(&body_crc);
   if (Crc32(bytes.data() + body_start, body_len) != body_crc) {
@@ -310,58 +212,6 @@ ExtractStatus TryExtractRecord(const std::string& bytes, size_t* offset,
   return ExtractStatus::kRecord;
 }
 
-bool ParseDurability(std::string_view name, Durability* out) {
-  if (name == "off") {
-    *out = Durability::kOff;
-  } else if (name == "group") {
-    *out = Durability::kGroup;
-  } else if (name == "always") {
-    *out = Durability::kAlways;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* DurabilityName(Durability durability) {
-  switch (durability) {
-    case Durability::kOff:
-      return "off";
-    case Durability::kGroup:
-      return "group";
-    case Durability::kAlways:
-      return "always";
-  }
-  return "?";
-}
-
-bool ParseCrashPoint(std::string_view name, CrashPoint* out) {
-  if (name == "before-append") {
-    *out = CrashPoint::kBeforeAppend;
-  } else if (name == "torn-write") {
-    *out = CrashPoint::kTornWrite;
-  } else if (name == "after-append") {
-    *out = CrashPoint::kAfterAppend;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* CrashPointName(CrashPoint point) {
-  switch (point) {
-    case CrashPoint::kNone:
-      return "none";
-    case CrashPoint::kBeforeAppend:
-      return "before-append";
-    case CrashPoint::kTornWrite:
-      return "torn-write";
-    case CrashPoint::kAfterAppend:
-      return "after-append";
-  }
-  return "?";
-}
-
 RedoLogWriter::RedoLogWriter(std::string path, Durability durability)
     : path_(std::move(path)), durability_(durability) {
   if (path_.empty()) {
@@ -370,7 +220,7 @@ RedoLogWriter::RedoLogWriter(std::string path, Durability durability)
   fd_ = ::open(path_.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
   if (fd_ < 0) {
     ok_ = false;
-    error_ = "cannot open redo log '" + path_ + "'";
+    error_ = "cannot open redo log '" + path_ + "': " + std::strerror(errno);
     return;
   }
   // Only a regular file takes a reservation; a FIFO or a device log is
@@ -746,14 +596,12 @@ std::string FormatReplayResult(const ReplayResult& result) {
   return out.str();
 }
 
-void SetCaptureClientTag(uint64_t tag) { tls_client_tag = tag; }
-
 void CaptureAttemptContext(const Rng& rng) {
   MemberRecord& context = tls_attempt_context;
   const int op = TxOpContext();
   context.op_index =
       op >= 0 && op < kRawOpIndex ? static_cast<uint16_t>(op) : kRawOpIndex;
-  context.client_tag = tls_client_tag;
+  context.client_tag = TxRequestId();
   context.theta = CurrentHotspotPolicy().theta;
   rng.SaveState(context.rng);
 }

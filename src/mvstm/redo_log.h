@@ -12,8 +12,8 @@
 // memory address and some field words are heap pointers — and unnecessary:
 // operations are pure functions of (transactional state, RNG stream, theta).
 //
-// On-disk format (all integers little-endian, encoded byte-by-byte like
-// src/net/wire.*; no struct punning):
+// On-disk format (all integers little-endian, encoded byte by byte with
+// src/common/little_endian.h, as the wire protocol is; no struct punning):
 //
 //     frame  := u32 body_len | u32 header_crc | body | u32 body_crc
 //     body   := u8 record_type | payload
@@ -38,11 +38,10 @@
 #define STMBENCH7_SRC_MVSTM_REDO_LOG_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "src/common/redo_options.h"
 #include "src/common/rng.h"
 
 namespace sb7::redo {
@@ -136,39 +135,6 @@ ExtractStatus TryExtractRecord(const std::string& bytes, size_t* offset,
 
 // ---------------------------------------------------------------------------
 // Writer
-
-// A sync is fdatasync: inside the reservation an append changes no metadata
-// that reading the data back needs.
-enum class Durability {
-  kOff,     // append only; no sync until Close
-  kGroup,   // one sync per commit group
-  kAlways,  // groups of one, sync per commit
-};
-
-bool ParseDurability(std::string_view name, Durability* out);
-const char* DurabilityName(Durability durability);
-
-// Fault-injection seam for the crash-recovery tests: the writer wounds its
-// own file at the configured group and fires.
-enum class CrashPoint {
-  kNone,
-  kBeforeAppend,  // record never reaches the file
-  kTornWrite,     // only a prefix of the frame reaches the file
-  kAfterAppend,   // full frame written, fsync skipped
-};
-
-bool ParseCrashPoint(std::string_view name, CrashPoint* out);
-const char* CrashPointName(CrashPoint point);
-
-struct CrashConfig {
-  CrashPoint point = CrashPoint::kNone;
-  uint64_t at_group = 0;  // group_seq the crash fires on
-  // Invoked after the wound; the CLI leaves this unset, which _Exit(137)s
-  // the process. Tests install a flag-setting hook, after which the writer
-  // is dead: every later append and the close record are dropped, so the
-  // file stays exactly in its crash state.
-  std::function<void()> on_fire;
-};
 
 struct WriterStats {
   uint64_t groups = 0;
@@ -290,12 +256,12 @@ std::string FormatReplayResult(const ReplayResult& result);
 // Replay-context capture (thread-local)
 //
 // StmStrategy::Execute snapshots the capture context at the top of every
-// attempt (rng state, op index, hotspot theta, ingress client tag); the
-// group-commit sequencer reads the snapshot of the attempt that committed
-// and writes it into the member record. The serve front-end tags requests so
-// `acked ⊆ durable` is checkable against the recovered log.
+// attempt (rng state, hotspot theta, and the op index and client request id
+// of the op context in src/stm/field.h); the group-commit sequencer reads the
+// snapshot of the attempt that committed and writes it into the member
+// record. Served runs set the request id, so `acked ⊆ durable` is checkable
+// against the recovered log.
 
-void SetCaptureClientTag(uint64_t tag);
 void CaptureAttemptContext(const Rng& rng);
 const MemberRecord& CurrentAttemptContext();
 

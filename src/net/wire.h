@@ -5,8 +5,9 @@
 //     u32-LE payload length | payload bytes
 //
 // and every payload starts with a u8 message type. All multi-byte integers
-// are little-endian, encoded/decoded byte-by-byte (no struct punning, so
-// the format is identical across hosts). See docs/SERVING.md for the
+// are little-endian, encoded/decoded byte by byte with
+// src/common/little_endian.h (no struct punning, so the format is identical
+// across hosts). See docs/SERVING.md for the
 // protocol walk-through.
 
 #ifndef STMBENCH7_SRC_NET_WIRE_H_

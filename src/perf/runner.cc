@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -12,6 +13,7 @@
 #include "src/harness/driver.h"
 #include "src/harness/report.h"
 #include "src/harness/workload.h"
+#include "src/mvstm/durable_log.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
 #include "src/perf/stats.h"
@@ -116,23 +118,13 @@ BenchConfig BuildCellConfig(const SweepSpec& spec, const SweepCell& cell, int re
   // Each repetition reseeds structure build and operation streams together,
   // so rep r is reproducible in isolation via --seed (spec.seed + r).
   config.seed = spec.seed + static_cast<uint64_t>(rep);
-
-  // Durability cells run with a scratch redo log (group-commit sequencer
-  // attached); "off" cells run the classic no-log path so they stay
-  // comparable against pre-durability baselines. The caller unlinks the
-  // scratch file after the repetition.
-  if (cell.durability != "off") {
-    config.redo_log_path = "/tmp/sb7_bench_" + std::to_string(::getpid()) + "_" +
-                           cell.durability + "_rep" + std::to_string(rep) + ".redo";
-    config.durability = cell.durability;
-  }
   return config;
 }
 
 // Aggregates one finished repetition over its body phases. The warmup phase
 // (when present) is phases[0] and is excluded.
 RepSample CollectRep(const SweepSpec& spec, const BenchmarkRunner& runner,
-                     const BenchResult& result) {
+                     const telemetry::Telemetry* telemetry, const BenchResult& result) {
   RepSample sample;
   const size_t body_begin = spec.warmup > 0 ? 1 : 0;
   std::vector<int> probe_indices;
@@ -180,8 +172,8 @@ RepSample CollectRep(const SweepSpec& spec, const BenchmarkRunner& runner,
     sample.p999_ms = latency_all.QuantileMillis(0.999);
   }
   sample.has_stm = runner.strategy().stm() != nullptr;
-  if (runner.telemetry() != nullptr) {
-    sample.series = runner.telemetry()->SeriesSnapshot();
+  if (telemetry != nullptr) {
+    sample.series = telemetry->SeriesSnapshot();
   }
 
   if (result.traced) {
@@ -211,12 +203,10 @@ RepSample CollectRep(const SweepSpec& spec, const BenchmarkRunner& runner,
 // phase accounting stays the source of the comparable throughput/latency
 // numbers; the client's end-to-end view lands in sample->wire_stats.
 // Returns false with *error set when the plumbing itself failed.
-bool RunWireRep(const SweepSpec& spec, const SweepCell& cell, BenchConfig config,
-                bool validate, RepSample* sample, std::string* error) {
-  IngressQueue ingress(kIngressCapacity);
-  config.ingress = &ingress;
-  BenchmarkRunner runner(config);
-  net::OpServer server(net::ServerOptions{}, &ingress,
+bool RunWireRep(const SweepSpec& spec, const SweepCell& cell, BenchmarkRunner& runner,
+                const RunInstruments& instruments, bool validate, RepSample* sample,
+                std::string* error) {
+  net::OpServer server(net::ServerOptions{}, instruments.ingress,
                        static_cast<uint16_t>(runner.registry().all().size()));
   std::string start_error;
   if (!server.Start(&start_error)) {
@@ -227,12 +217,12 @@ bool RunWireRep(const SweepSpec& spec, const SweepCell& cell, BenchConfig config
   net::ClientOptions client_options;
   client_options.port = server.port();
   client_options.connections = cell.threads;
-  client_options.seconds = config.length_seconds;
+  client_options.seconds = runner.config().length_seconds;
   const std::optional<MixPreset> mix = FindMixPreset(cell.mix);
   client_options.ratios = ComputeOperationRatios(
       runner.registry(), WorkloadTypeForName(cell.workload), mix->long_traversals,
       /*structure_mods_enabled=*/true, mix->disabled_ops);
-  client_options.seed = config.seed;
+  client_options.seed = runner.config().seed;
 
   BenchResult result;
   std::thread runner_thread([&runner, &result]() { result = runner.Run(); });
@@ -255,7 +245,7 @@ bool RunWireRep(const SweepSpec& spec, const SweepCell& cell, BenchConfig config
     }
   }
 
-  *sample = CollectRep(spec, runner, result);
+  *sample = CollectRep(spec, runner, instruments.telemetry, result);
   sample->wire = true;
   sample->wire_stats.sent = client.sent;
   sample->wire_stats.ok = client.ok;
@@ -365,48 +355,75 @@ SweepRunOutcome RunSweep(const SweepSpec& spec, const SweepRunOptions& options) 
     const SweepCell& cell = cells[c];
     std::vector<RepSample> samples;
     for (int rep = 0; rep < spec.reps; ++rep) {
-      BenchConfig config = BuildCellConfig(spec, cell, rep);
-      // The scratch redo log of a durability cell; empty otherwise. Unlinked
-      // once the repetition (and its post-run validation) is done.
-      const std::string redo_path = config.redo_log_path;
-      config.trace = options.trace_cells;
+      const BenchConfig config = BuildCellConfig(spec, cell, rep);
+      const bool wire = cell.serve == "wire";
+      std::optional<IngressQueue> ingress;
+      std::optional<trace::Tracer> tracer;
+      std::optional<telemetry::Telemetry> telemetry;
+      RunInstruments instruments;
+      if (wire) {
+        instruments.ingress = &ingress.emplace(kIngressCapacity);
+      }
+      if (options.trace_cells) {
+        instruments.tracer = &tracer.emplace();
+      }
       if (options.telemetry) {
         // In-memory series only (no JSONL, no endpoint). Sample fast enough
         // that even a sub-second cell yields a usable series for the
         // steady-state detector, without dipping into pure-noise intervals.
-        config.telemetry = true;
-        config.telemetry_interval = std::clamp(spec.seconds / 8.0, 0.05, 1.0);
+        telemetry::TelemetryOptions telemetry_options;
+        telemetry_options.interval_seconds = std::clamp(spec.seconds / 8.0, 0.05, 1.0);
+        instruments.telemetry = &telemetry.emplace(telemetry_options);
       }
-      if (cell.serve == "wire") {
-        RepSample sample;
-        std::string wire_error;
-        const bool wire_ok = RunWireRep(spec, cell, std::move(config),
-                                        rep == spec.reps - 1, &sample, &wire_error);
-        if (!redo_path.empty()) {
-          ::unlink(redo_path.c_str());
-        }
-        if (!wire_ok) {
-          outcome.error = "wire cell [" + CellKey(cell) + "]: " + wire_error;
+      BenchmarkRunner runner(config, instruments);
+
+      // Durability cells run with a scratch redo log (group-commit sequencer
+      // attached), unlinked once the repetition is done; "off" cells run the
+      // classic no-log path so they stay comparable against pre-durability
+      // baselines.
+      std::unique_ptr<DurableLog> redo_log;
+      redo::LogOptions log_options;
+      if (cell.durability != "off") {
+        log_options.path = "/tmp/sb7_bench_" + std::to_string(::getpid()) + "_" +
+                           cell.durability + "_rep" + std::to_string(rep) + ".redo";
+        redo::ParseDurability(cell.durability, &log_options.durability);
+        std::string error;
+        redo_log = DurableLog::Open(runner.strategy().stm(), log_options, config.seed,
+                                    config.scale, &error);
+        if (redo_log == nullptr) {
+          outcome.error = "redo log failure in cell [" + CellKey(cell) + "]: " + error;
           return outcome;
         }
-        samples.push_back(std::move(sample));
-        continue;
       }
 
-      BenchmarkRunner runner(config);
-      const BenchResult result = runner.Run();
-      samples.push_back(CollectRep(spec, runner, result));
-      if (!redo_path.empty()) {
-        ::unlink(redo_path.c_str());
+      RepSample sample;
+      std::string wire_error;
+      bool wire_ok = true;
+      if (wire) {
+        wire_ok = RunWireRep(spec, cell, runner, instruments, rep == spec.reps - 1, &sample,
+                             &wire_error);
+      } else {
+        const BenchResult result = runner.Run();
+        sample = CollectRep(spec, runner, instruments.telemetry, result);
       }
-      if (runner.redo_writer() != nullptr && !runner.redo_writer()->ok()) {
-        outcome.error = "redo log failure in cell [" + CellKey(cell) +
-                        "]: " + runner.redo_writer()->error();
+      if (redo_log != nullptr) {
+        redo_log->Close();
+        ::unlink(log_options.path.c_str());
+        if (!redo_log->writer().ok()) {
+          outcome.error = "redo log failure in cell [" + CellKey(cell) +
+                          "]: " + redo_log->writer().error();
+          return outcome;
+        }
+      }
+      if (!wire_ok) {
+        outcome.error = "wire cell [" + CellKey(cell) + "]: " + wire_error;
         return outcome;
       }
+      samples.push_back(std::move(sample));
 
-      // Validate the structure after the last repetition of the cell.
-      if (rep == spec.reps - 1) {
+      // Validate the structure after the last repetition of the cell (a
+      // wire repetition validated its own).
+      if (!wire && rep == spec.reps - 1) {
         const InvariantReport report = CheckInvariants(runner.data());
         if (!report.ok()) {
           outcome.error = "invariant violation in cell [" + CellKey(cell) +

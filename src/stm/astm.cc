@@ -201,7 +201,9 @@ bool AstmTx::ReadUnitsUnowned() {
   // yet, which lets two transactions that each read {a, b} and each own one
   // of them both commit (write skew). Runs in kCommitting, so nobody can
   // kill this transaction meanwhile. A transaction that writes nothing
-  // serializes where its read list validates, whatever rivals own.
+  // serializes where its read list validates, whatever rivals own: a rival's
+  // flush holds all its units odd until its last image has landed
+  // (TryCommit), so no half-flushed commit validates.
   if (write_order_.empty()) {
     return true;
   }
@@ -265,15 +267,21 @@ bool AstmTx::TryCommit() {
   // mo: release — the commit point; a rival that reads kCommitted fails its
   // own commit check instead of reading the units this one flushes.
   status_.store(AstmStatus::kCommitted, std::memory_order_release);
-  // Commit point passed: flush redo images. The per-object seqlock goes odd
-  // during the flush so concurrent readers never consume torn states.
+  // Commit point passed: flush redo images. Every written unit's seqlock goes
+  // odd before the first image lands and even only after the last one has,
+  // so a reader that opened one unit before the flush and opens another
+  // after its image landed fails validation on the first.
   for (TmUnit* unit : write_order_) {
-    const WriteImage& image = write_map_[unit];
     // mo: acq_rel — odd marks flush-in-progress; readers spin on it.
     unit->astm_version.fetch_add(1, std::memory_order_acq_rel);
+  }
+  for (TmUnit* unit : write_order_) {
+    const WriteImage& image = write_map_[unit];
     for (TxFieldBase* f = unit->last_field(); f != nullptr; f = f->prev_in_unit()) {
       f->StoreRaw(image.words[f->index_in_unit()], std::memory_order_release);
     }
+  }
+  for (TmUnit* unit : write_order_) {
     // mo: acq_rel bump publishes the flushed words (even again); release
     // on the owner clear lets the next acquirer see the completed flush.
     unit->astm_version.fetch_add(1, std::memory_order_acq_rel);

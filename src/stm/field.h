@@ -306,14 +306,21 @@ inline TxAbortInfo ConsumeTxAbortInfo() {
 
 /// Operation context for attribution: the index (registry order) of the
 /// benchmark operation the calling thread is currently executing, -1 outside
-/// operations. Set by the harness worker loop around Execute; read by trace
-/// observers to label transactions and conflicts by op type.
+/// operations, and the id of the client request it serves, 0 for an
+/// operation sampled locally. Set by the harness worker loop around Execute;
+/// read by trace observers to label transactions and conflicts by op type,
+/// and by the redo log to tag each committed member with its request.
 namespace internal {
 inline thread_local int tls_tx_op_context = -1;
+inline thread_local uint64_t tls_tx_request_id = 0;
 }  // namespace internal
 
-inline void SetTxOpContext(int op_index) { internal::tls_tx_op_context = op_index; }
+inline void SetTxOpContext(int op_index, uint64_t request_id = 0) {
+  internal::tls_tx_op_context = op_index;
+  internal::tls_tx_request_id = request_id;
+}
 inline int TxOpContext() { return internal::tls_tx_op_context; }
+inline uint64_t TxRequestId() { return internal::tls_tx_request_id; }
 
 /// Per-attempt latency decomposition, produced by Stm::RunAtomically when
 /// transaction timing is enabled (see SetTxTimingEnabled). All buckets are

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "src/common/json_string.h"
+
 namespace sb7::trace {
 namespace {
 
@@ -22,15 +24,6 @@ const char* CauseColor(AbortCause cause) {
       break;
   }
   return "grey";
-}
-
-void AppendEscaped(std::string& out, std::string_view text) {
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
 }
 
 std::string MicrosString(int64_t nanos) {
@@ -122,13 +115,11 @@ void WriteChromeTrace(std::ostream& out, const std::vector<Tracer::ThreadStream>
           std::string body = "\"ph\": \"X\", \"pid\": 1, \"tid\": " + tid +
                              ", \"ts\": " + MicrosString(begin.nanos - t0) +
                              ", \"dur\": " + MicrosString(event.nanos - begin.nanos) +
-                             ", \"name\": \"";
-          AppendEscaped(body, name);
-          body += "\", \"cat\": \"tx\", \"cname\": \"";
+                             ", \"name\": " + JsonString(name);
+          body += ", \"cat\": \"tx\", \"cname\": \"";
           body += committed ? "good" : CauseColor(event.cause);
-          body += "\", \"args\": {\"op\": \"";
-          AppendEscaped(body, writer.OpName(begin.op));
-          body += "\", \"outcome\": \"";
+          body += "\", \"args\": {\"op\": " + JsonString(writer.OpName(begin.op));
+          body += ", \"outcome\": \"";
           body += committed ? "commit" : "abort";
           body += "\", \"retry\": " + std::to_string(event.arg);
           if (!committed) {

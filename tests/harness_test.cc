@@ -29,7 +29,7 @@ TEST(CliTest, DefaultsMatchAppendixA) {
   EXPECT_EQ(result.config.strategy, "coarse");
   EXPECT_TRUE(result.config.long_traversals);
   EXPECT_TRUE(result.config.structure_mods);
-  EXPECT_FALSE(result.config.ttc_histograms);
+  EXPECT_FALSE(result.ttc_histograms);
 }
 
 TEST(CliTest, ParsesAllAppendixAFlags) {
@@ -42,7 +42,7 @@ TEST(CliTest, ParsesAllAppendixAFlags) {
   EXPECT_EQ(result.config.strategy, "medium");
   EXPECT_FALSE(result.config.long_traversals);
   EXPECT_FALSE(result.config.structure_mods);
-  EXPECT_TRUE(result.config.ttc_histograms);
+  EXPECT_TRUE(result.ttc_histograms);
 }
 
 TEST(CliTest, ParsesExtensions) {
@@ -109,7 +109,7 @@ TEST(CliTest, ScenarioFlagResolvesBuiltinsAndRejectsUnknownNames) {
 TEST(CliTest, ParsesJsonPath) {
   const CliResult result = Parse({"--json", "/tmp/x.json"});
   ASSERT_FALSE(result.error.has_value());
-  EXPECT_EQ(result.config.json_path, "/tmp/x.json");
+  EXPECT_EQ(result.json_path, "/tmp/x.json");
   EXPECT_TRUE(Parse({"--json"}).error.has_value());
 }
 
@@ -119,8 +119,8 @@ TEST(CliTest, ParsesReadRatioCsvAndVerify) {
   ASSERT_FALSE(result.error.has_value());
   ASSERT_TRUE(result.config.read_fraction.has_value());
   EXPECT_DOUBLE_EQ(*result.config.read_fraction, 0.75);
-  EXPECT_EQ(result.config.csv_path, "/tmp/x.csv");
-  EXPECT_TRUE(result.config.verify_invariants);
+  EXPECT_EQ(result.csv_path, "/tmp/x.csv");
+  EXPECT_TRUE(result.verify_invariants);
   EXPECT_TRUE(Parse({"--read-ratio", "1.5"}).error.has_value());
   EXPECT_TRUE(Parse({"--read-ratio", "-0.1"}).error.has_value());
   EXPECT_TRUE(Parse({"--csv"}).error.has_value());
@@ -129,7 +129,7 @@ TEST(CliTest, ParsesReadRatioCsvAndVerify) {
 TEST(CliTest, ParsesCorrectnessOracleModes) {
   const CliResult opacity = Parse({"--check-opacity"});
   ASSERT_FALSE(opacity.error.has_value());
-  EXPECT_TRUE(opacity.config.check_opacity);
+  EXPECT_TRUE(opacity.check_opacity);
 
   const CliResult differential = Parse({"--differential", "--max-ops", "50"});
   ASSERT_FALSE(differential.error.has_value());
@@ -362,12 +362,11 @@ TEST(ReportTest, ContainsAllAppendixASections) {
   config.scale = "tiny";
   config.threads = 2;
   config.length_seconds = 0.3;
-  config.ttc_histograms = true;
   BenchmarkRunner runner(config);
   const BenchResult result = runner.Run();
 
   std::ostringstream out;
-  PrintReport(out, runner, result);
+  PrintReport(out, runner, result, /*ttc_histograms=*/true);
   const std::string text = out.str();
   EXPECT_NE(text.find("== Benchmark parameters =="), std::string::npos);
   EXPECT_NE(text.find("== TTC histograms =="), std::string::npos);

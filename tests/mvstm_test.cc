@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/invariants.h"
 #include "src/ebr/ebr.h"
 #include "src/harness/driver.h"
 #include "src/mvstm/mvstm.h"
@@ -200,7 +201,6 @@ TEST(MvstmDriverTest, BenchmarkRunRecordsZeroReadOnlyAborts) {
   config.long_traversals = true;
   config.max_operations = 2'000;
   config.seed = 42;
-  config.verify_invariants = true;
 
   BenchmarkRunner runner(config);
   const BenchResult result = runner.Run();
@@ -209,6 +209,8 @@ TEST(MvstmDriverTest, BenchmarkRunRecordsZeroReadOnlyAborts) {
   EXPECT_GT(result.stm.ro_commits, 0);
   EXPECT_EQ(result.stm.ro_aborts, 0);
   EXPECT_EQ(result.stm.ro_commits, result.stm.ro_starts);
+  const InvariantReport report = CheckInvariants(runner.data());
+  EXPECT_TRUE(report.ok()) << report.violations.front();
 }
 
 }  // namespace

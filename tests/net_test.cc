@@ -480,9 +480,10 @@ TEST(NetEndToEndTest, LoopbackServeRunLosesNothing) {
   config.threads = 2;
   config.length_seconds = 0.3;
   config.seed = 99;
-  config.ingress = &ingress;
+  RunInstruments instruments;
+  instruments.ingress = &ingress;
 
-  BenchmarkRunner runner(config);
+  BenchmarkRunner runner(config, instruments);
   OpServer server(ServerOptions{}, &ingress,
                   static_cast<uint16_t>(runner.registry().all().size()));
   std::string error;

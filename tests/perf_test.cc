@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <set>
 #include <sstream>
@@ -511,6 +513,39 @@ TEST(BenchJsonGoldenTest, WireCellsRunOverLoopbackAndCarryTheWireBlock) {
             (std::set<std::string>{"sent", "ok", "op_failed", "rejected", "bad", "lost",
                                    "client_throughput", "p50_ms", "p99_ms", "p999_ms",
                                    "max_ms"}));
+}
+
+// A durable cell gives each repetition a scratch redo log, in-process and
+// over the wire alike: both commit through group commit, have the writer
+// checked once the repetition ends, and leave no log behind.
+TEST(BenchJsonGoldenTest, DurableCellsRunInprocAndOverTheWire) {
+  SweepSpec spec;
+  spec.name = "golden-durable";
+  spec.backends = {"mvstm"};
+  spec.threads = {2};
+  spec.workloads = {"w"};
+  spec.scales = {"tiny"};
+  spec.mixes = {"short"};
+  spec.serves = {"inproc", "wire"};
+  spec.durabilities = {"group"};
+  spec.seconds = 0.3;
+  spec.warmup = 0.0;
+  spec.reps = 1;
+  ASSERT_EQ(spec.Validate(), "");
+  SweepRunOptions options;
+  options.telemetry = false;
+  const SweepRunOutcome outcome = RunSweep(spec, options);
+  ASSERT_TRUE(outcome.ok()) << outcome.error;
+  ASSERT_EQ(outcome.result.cells.size(), 2u);
+  EXPECT_FALSE(outcome.result.cells[0].wire);
+  EXPECT_TRUE(outcome.result.cells[1].wire);
+  for (const CellResult& cell : outcome.result.cells) {
+    EXPECT_EQ(cell.cell.durability, "group");
+    EXPECT_GT(cell.throughput_median, 0.0) << CellKey(cell.cell);
+    EXPECT_GT(cell.stm.commits, 0) << CellKey(cell.cell);
+  }
+  const std::string scratch = "/tmp/sb7_bench_" + std::to_string(::getpid()) + "_group_rep0.redo";
+  EXPECT_NE(::access(scratch.c_str(), F_OK), 0) << scratch << " was left behind";
 }
 
 TEST(BenchJsonGoldenTest, TracedCellsAppendThePinnedConflictsBlock) {

@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -50,6 +51,7 @@
 #include "src/core/invariants.h"
 #include "src/ebr/ebr.h"
 #include "src/harness/driver.h"
+#include "src/mvstm/durable_log.h"
 #include "src/mvstm/group_commit.h"
 #include "src/mvstm/mvstm.h"
 #include "src/mvstm/redo_log.h"
@@ -57,6 +59,7 @@
 #include "src/net/net.h"
 #include "src/net/server.h"
 #include "src/net/wire.h"
+#include "src/stm/stm_factory.h"
 
 namespace sb7 {
 namespace {
@@ -603,10 +606,33 @@ TEST(RedoWriterTest, FailedReservationEndsTheProcessBeforeTheCommitReturns) {
   ::unlink(path.c_str());
 }
 
+// A log that cannot be opened is an error the caller reports, never an
+// abort, and leaves the backend committing without a sequencer; so does a
+// backend that cannot group-commit.
+TEST(DurableLogTest, ReportsAPathItCannotOpenAndAttachesNothing) {
+  MvStm mvstm;
+  redo::LogOptions options;
+  options.path = "/nonexistent-dir/x.redo";
+  options.durability = Durability::kGroup;
+  std::string error;
+  EXPECT_EQ(DurableLog::Open(&mvstm, options, 1, "tiny", &error), nullptr);
+  EXPECT_NE(error.find("cannot open redo log '/nonexistent-dir/x.redo'"), std::string::npos)
+      << error;
+  EXPECT_EQ(mvstm.sequencer(), nullptr);
+
+  const std::unique_ptr<Stm> tl2 = MakeStm("tl2");
+  options.path = ScratchLog("notmvstm");
+  error.clear();
+  EXPECT_EQ(DurableLog::Open(tl2.get(), options, 1, "tiny", &error), nullptr);
+  EXPECT_NE(error.find("mvstm"), std::string::npos) << error;
+  ::unlink(options.path.c_str());
+}
+
 // ------------------------------------------------------- kill -9 harness --
 //
 // The forked children below construct a BenchmarkRunner (which builds the
-// tiny structure and writes the log header) and then run a write storm until
+// tiny structure), attach a redo log (which writes the header) and then run a
+// write storm until
 // the parent kills them or an injected crash point fires. The parent replays
 // the orphaned log under BOTH mvstm and tl2 and requires identical deep
 // fingerprints and intact invariants.
@@ -616,7 +642,7 @@ struct ChildRun {
   int ready_fd = -1;  // child writes one byte once the runner is constructed
 };
 
-BenchConfig WriteStormConfig(const std::string& log_path, uint64_t seed) {
+BenchConfig WriteStormConfig(uint64_t seed) {
   BenchConfig config;
   config.strategy = "mvstm";
   config.scale = "tiny";
@@ -624,20 +650,39 @@ BenchConfig WriteStormConfig(const std::string& log_path, uint64_t seed) {
   config.threads = 4;
   config.length_seconds = 30.0;  // the parent always kills us first
   config.seed = seed;
-  config.redo_log_path = log_path;
-  config.durability = "group";
   return config;
 }
 
-// Forks a child that runs `config` until killed. Never returns in the child.
-ChildRun ForkBenchmarkChild(const BenchConfig& config) {
+redo::LogOptions GroupLog(const std::string& path) {
+  redo::LogOptions options;
+  options.path = path;
+  options.durability = Durability::kGroup;
+  return options;
+}
+
+// Attaches a redo log to the runner's backend, as the CLI does before a run.
+std::unique_ptr<DurableLog> OpenLog(BenchmarkRunner& runner, const redo::LogOptions& options) {
+  std::string error;
+  std::unique_ptr<DurableLog> log = DurableLog::Open(
+      runner.strategy().stm(), options, runner.config().seed, runner.config().scale, &error);
+  if (log == nullptr) {
+    ADD_FAILURE() << error;
+  }
+  return log;
+}
+
+// Forks a child that runs `config` with a redo log until killed. Never
+// returns in the child.
+ChildRun ForkBenchmarkChild(const BenchConfig& config, const redo::LogOptions& log_options) {
   ChildRun run;
   int pipe_fds[2];
   EXPECT_EQ(::pipe(pipe_fds), 0);
   run.pid = ::fork();
   if (run.pid == 0) {
     ::close(pipe_fds[0]);
-    BenchmarkRunner runner(config);  // builds the world, writes the header
+    BenchmarkRunner runner(config);  // builds the world
+    const std::unique_ptr<DurableLog> log = OpenLog(runner, log_options);  // writes the header
+    if (log == nullptr) std::_Exit(3);
     const char ready = 'r';
     (void)!::write(pipe_fds[1], &ready, 1);
     runner.Run();
@@ -691,11 +736,11 @@ TEST(CrashRecoveryTest, EveryCrashPointRecoversItsExactPrefix)
   };
   for (const Case& c : cases) {
     const std::string path = ScratchLog(c.tag);
-    BenchConfig config = WriteStormConfig(path, 4242);
-    config.crash_point = c.point;
-    config.crash_at_group = 10;
+    redo::LogOptions log = GroupLog(path);
+    log.crash.point = c.point;
+    log.crash.at_group = 10;
 
-    const ChildRun run = ForkBenchmarkChild(config);
+    const ChildRun run = ForkBenchmarkChild(WriteStormConfig(4242), log);
     ASSERT_GT(run.pid, 0);
     AwaitReady(run);  // consuming the byte also keeps the child SIGPIPE-free
     int status = 0;
@@ -721,7 +766,7 @@ TEST(CrashRecoveryTest, RandomKillOffsetsAlwaysReplayConsistently) {
   uint64_t total_groups = 0;
   for (int k = 0; k < kKills; ++k) {
     const std::string path = ScratchLog(("kill" + std::to_string(k)).c_str());
-    const ChildRun run = ForkBenchmarkChild(WriteStormConfig(path, 5000 + k));
+    const ChildRun run = ForkBenchmarkChild(WriteStormConfig(5000 + k), GroupLog(path));
     ASSERT_GT(run.pid, 0);
     AwaitReady(run);
 
@@ -779,10 +824,13 @@ TEST(CrashRecoveryTest, ServeKilledMidStormNeverAcksUndurableRequests) {
   if (pid == 0) {
     ::close(pipe_fds[0]);
     IngressQueue ingress(256);
-    BenchConfig config = WriteStormConfig(path, 6001);
+    BenchConfig config = WriteStormConfig(6001);
     config.threads = 2;
-    config.ingress = &ingress;
-    BenchmarkRunner runner(config);
+    RunInstruments instruments;
+    instruments.ingress = &ingress;
+    BenchmarkRunner runner(config, instruments);
+    const std::unique_ptr<DurableLog> log = OpenLog(runner, GroupLog(path));
+    if (log == nullptr) std::_Exit(3);
     net::OpServer server(net::ServerOptions{}, &ingress,
                          static_cast<uint16_t>(runner.registry().all().size()));
     std::string error;
@@ -879,13 +927,15 @@ uint64_t QuiescedFingerprint(BenchmarkRunner& runner) {
 // across backends (mvstm vs tl2), since the log is logical.
 TEST(LiveVsReplayTest, WriteStormLogReplaysToTheSurvivorsFingerprint) {
   const std::string path = ScratchLog("live4");
-  BenchConfig config = WriteStormConfig(path, 77);
+  BenchConfig config = WriteStormConfig(77);
   config.max_operations = 600;  // the op cap ends the run, not the clock
   BenchmarkRunner runner(config);
+  const std::unique_ptr<DurableLog> log = OpenLog(runner, GroupLog(path));
+  ASSERT_NE(log, nullptr);
   runner.Run();
-  ASSERT_NE(runner.redo_writer(), nullptr);
-  ASSERT_TRUE(runner.redo_writer()->ok()) << runner.redo_writer()->error();
-  EXPECT_TRUE(runner.redo_writer()->closed());
+  log->Close();
+  ASSERT_TRUE(log->writer().ok()) << log->writer().error();
+  EXPECT_TRUE(log->writer().closed());
   const uint64_t live = QuiescedFingerprint(runner);
 
   const ReplayResult mv = RecoverFromBytes(
@@ -913,11 +963,14 @@ TEST(LiveVsReplayTest, WriteStormLogReplaysToTheSurvivorsFingerprint) {
 // group-commit concurrency the 4-thread variant also exercises.
 TEST(LiveVsReplayTest, SingleThreadRunReplaysExactly) {
   const std::string path = ScratchLog("live1");
-  BenchConfig config = WriteStormConfig(path, 31337);
+  BenchConfig config = WriteStormConfig(31337);
   config.threads = 1;
   config.max_operations = 300;
   BenchmarkRunner runner(config);
+  const std::unique_ptr<DurableLog> log = OpenLog(runner, GroupLog(path));
+  ASSERT_NE(log, nullptr);
   runner.Run();
+  log->Close();
   const uint64_t live = QuiescedFingerprint(runner);
 
   const ReplayResult mv = RecoverFromLog(path, "mvstm");
@@ -932,13 +985,16 @@ TEST(LiveVsReplayTest, SingleThreadRunReplaysExactly) {
 // per commit); the writer's own stats must show it.
 TEST(LiveVsReplayTest, AlwaysDurabilityForcesGroupsOfOne) {
   const std::string path = ScratchLog("always");
-  BenchConfig config = WriteStormConfig(path, 99);
-  config.durability = "always";
+  BenchConfig config = WriteStormConfig(99);
   config.max_operations = 300;
   BenchmarkRunner runner(config);
+  redo::LogOptions always = GroupLog(path);
+  always.durability = Durability::kAlways;
+  const std::unique_ptr<DurableLog> log = OpenLog(runner, always);
+  ASSERT_NE(log, nullptr);
   runner.Run();
-  ASSERT_NE(runner.redo_writer(), nullptr);
-  const redo::WriterStats& stats = runner.redo_writer()->stats();
+  log->Close();
+  const redo::WriterStats& stats = log->writer().stats();
   EXPECT_EQ(stats.groups, stats.members);
   EXPECT_GT(stats.groups, 0u);
   // Header + every group + close each fsync under kAlways.
@@ -956,10 +1012,13 @@ TEST(LiveVsReplayTest, AlwaysDurabilityForcesGroupsOfOne) {
 // clean close.
 TEST(LiveVsReplayTest, TornTailOfARealLogRecoversThePrefix) {
   const std::string path = ScratchLog("torntail");
-  BenchConfig config = WriteStormConfig(path, 555);
+  BenchConfig config = WriteStormConfig(555);
   config.max_operations = 200;
   BenchmarkRunner runner(config);
+  const std::unique_ptr<DurableLog> log = OpenLog(runner, GroupLog(path));
+  ASSERT_NE(log, nullptr);
   runner.Run();
+  log->Close();
 
   std::string bytes;
   std::string error;

@@ -674,15 +674,17 @@ TEST(TelemetryEndToEndTest, DriverRunProducesAValidSeries) {
   config.threads = 2;
   config.length_seconds = 0.4;
   config.seed = 77;
-  config.telemetry = true;
-  config.telemetry_interval = 0.05;
-  config.telemetry_hw = false;
-  BenchmarkRunner runner(config);
+  TelemetryOptions options;
+  options.interval_seconds = 0.05;
+  options.hw_counters = false;
+  Telemetry telemetry(options);
+  RunInstruments instruments;
+  instruments.telemetry = &telemetry;
+  BenchmarkRunner runner(config, instruments);
   const BenchResult result = runner.Run();
   EXPECT_GT(result.total_success, 0);
 
-  ASSERT_NE(runner.telemetry(), nullptr);
-  const std::vector<Sample> series = runner.telemetry()->SeriesSnapshot();
+  const std::vector<Sample> series = telemetry.SeriesSnapshot();
   ASSERT_GE(series.size(), 2u);  // Stop() takes a final sample
   int64_t last_seq = -1;
   double last_t = -1.0;
@@ -692,11 +694,11 @@ TEST(TelemetryEndToEndTest, DriverRunProducesAValidSeries) {
     last_seq = sample.seq;
     last_t = sample.t_s;
   }
-  EXPECT_EQ(series.back().completed, runner.telemetry()->CompletedOps());
+  EXPECT_EQ(series.back().completed, telemetry.CompletedOps());
   EXPECT_EQ(series.back().completed, result.total_success);
 
   std::ostringstream out;
-  runner.telemetry()->WriteJsonl(out);
+  telemetry.WriteJsonl(out);
   std::istringstream in(out.str());
   EXPECT_EQ(telemetry::ValidateTelemetryJsonl(in), "");
 }

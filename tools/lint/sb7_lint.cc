@@ -24,6 +24,10 @@
 //       schema (and the lock) is the exact drift this catches. The redo-log
 //       pin matters doubly: old logs must stay replayable after a crash.
 //       Refresh the lock deliberately with `sb7-lint --update-schema-lock`.
+//   R5  harness layering — no file under src/harness/ other than main.cc
+//       may include a src/mvstm/ or src/net/ header: the driver, CLI and
+//       report stay generic, and main.cc plugs in the redo log (an mvstm
+//       capability) and the network front-end.
 //
 // Exit codes: 0 clean, 1 findings, 2 usage/environment error.
 
@@ -296,6 +300,25 @@ void CheckObserverNoexcept(const SourceFile& file, std::vector<Finding>* finding
   }
 }
 
+// --- R5: harness layering ------------------------------------------------
+
+void CheckHarnessIncludes(const SourceFile& file, std::vector<Finding>* findings) {
+  for (size_t l = 0; l < file.code.size(); ++l) {
+    // `code` keeps the directive but blanks the quoted path; `raw` has it.
+    const size_t hash = file.code[l].find_first_not_of(" \t");
+    if (hash == std::string::npos || file.code[l].compare(hash, 8, "#include") != 0) {
+      continue;
+    }
+    for (const char* layer : {"\"src/mvstm/", "\"src/net/"}) {
+      if (file.raw[l].find(layer) != std::string::npos) {
+        findings->push_back({file.label, static_cast<int>(l + 1), "R5",
+                             std::string("src/harness/ includes a ") + (layer + 1) +
+                                 " header; only main.cc may"});
+      }
+    }
+  }
+}
+
 // --- R4: schema drift ------------------------------------------------------
 
 struct Schema {
@@ -515,6 +538,7 @@ std::vector<Finding> LintTree(const fs::path& root, std::string* error) {
                           HasPrefix(label, "src/telemetry/") ||
                           HasPrefix(label, "src/net/");
     const bool r2_allowed = HasPrefix(label, "src/stm/") || HasPrefix(label, "src/mvstm/");
+    const bool r5_scope = HasPrefix(label, "src/harness/") && label != "src/harness/main.cc";
     if (r1_scope) {
       CheckAtomicsDiscipline(*file, &findings);
     }
@@ -522,6 +546,9 @@ std::vector<Finding> LintTree(const fs::path& root, std::string* error) {
       CheckRawAccessScope(*file, &findings);
     }
     CheckObserverNoexcept(*file, &findings);
+    if (r5_scope) {
+      CheckHarnessIncludes(*file, &findings);
+    }
   }
   const auto current = CollectSchema(root, error);
   if (!current) {
@@ -562,7 +589,7 @@ int RunSelfTest(const fs::path& root) {
     int min_findings;
   };
   for (const Case& c : {Case{"bad_r1.cc", "R1", 2}, Case{"bad_r2.cc", "R2", 3},
-                        Case{"bad_r3.cc", "R3", 1}}) {
+                        Case{"bad_r3.cc", "R3", 1}, Case{"bad_r5.cc", "R5", 2}}) {
     const auto file = LoadFile(fixtures / c.file, c.file);
     if (!file) {
       expect(false, std::string("missing fixture ") + c.file);
@@ -572,6 +599,7 @@ int RunSelfTest(const fs::path& root) {
     CheckAtomicsDiscipline(*file, &findings);
     CheckRawAccessScope(*file, &findings);
     CheckObserverNoexcept(*file, &findings);
+    CheckHarnessIncludes(*file, &findings);
     expect(CountRule(findings, c.rule) >= c.min_findings,
            std::string(c.file) + " should trip " + c.rule + " at least " +
                std::to_string(c.min_findings) + "x, got " +
@@ -585,6 +613,7 @@ int RunSelfTest(const fs::path& root) {
     CheckAtomicsDiscipline(*clean, &findings);
     CheckRawAccessScope(*clean, &findings);
     CheckObserverNoexcept(*clean, &findings);
+    CheckHarnessIncludes(*clean, &findings);
     expect(findings.empty(), "good_clean.cc should be clean, got " +
                                  std::to_string(findings.size()) + " findings");
   }
