@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 namespace sb7 {
 
@@ -34,6 +35,13 @@ class Index {
 
   // Returns true when the key was present.
   virtual bool Remove(const K& key) = 0;
+
+  // Re-keys an entry: exactly Remove(from) then Insert(to, value). The skip
+  // list overrides it to reuse a node the running attempt built.
+  virtual void Move(const K& from, const K& to, V value) {
+    Remove(from);
+    Insert(to, std::move(value));
+  }
 
   // In-order visit of all entries with lo <= key <= hi; fn returning false
   // stops the scan.

@@ -8,9 +8,12 @@
 // sequential skip list — the concurrency control is entirely injected, in
 // the spirit of the benchmark's core-code rule.
 //
-// Node heights are derived deterministically from the key hash (p = 1/4),
-// keeping structure shape independent of insertion interleaving, which the
-// cross-backend equivalence tests rely on.
+// A node's height is derived deterministically from the hash of the key it
+// was born with (p = 1/4). Move re-keys a node that the running attempt
+// built instead of replacing it, and the re-keyed node keeps its height, so
+// the shape of the list can depend on the order of its updates. Nothing
+// depends on the shape: the oracle's fingerprints and the cross-backend
+// equivalence tests read the contents only.
 //
 // Deliberately avoided: a centralized size field (it would serialize every
 // writer on one word). Size() walks the bottom level and is O(n); it is used
@@ -67,58 +70,34 @@ class SkipListIndex : public Index<K, V> {
   }
 
   bool Insert(const K& key, V value) override {
-    Node* preds[kMaxHeight];
-    Node* succs[kMaxHeight];
-    const int level = level_.Get();
-    Node* node = FindGreaterOrEqual(key, level, preds, succs);
-    if (node != nullptr && node->key == key) {
-      node->value.Set(value);
-      return false;
-    }
-    const int height = HeightFor(key);
-    // No node was ever linked at or above the list level.
-    for (int l = level; l < height; ++l) {
-      preds[l] = head_;
-      succs[l] = nullptr;
-    }
-    // The new node's links are born pointing at its successors.
-    Node* fresh = Node::Make(key, value, height, succs);
-    // Registered before the first transactional access: the writes below
-    // may abort the attempt, and the node is not yet shared.
-    if (Transaction* tx = CurrentTx()) {
-      tx->OnAbort([fresh] { delete fresh; });
-    }
-    for (int l = 0; l < height; ++l) {
-      preds[l]->next(l).Set(fresh);
-    }
-    if (height > level) {
-      level_.Set(height);
-    }
-    return true;
+    return LinkKey(key, value, level_.Get(), nullptr);
   }
 
   bool Remove(const K& key) override {
-    Node* preds[kMaxHeight];
-    Node* succs[kMaxHeight];
-    Node* node = FindGreaterOrEqual(key, level_.Get(), preds, succs);
-    if (node == nullptr || !(node->key == key)) {
+    Node* node = Unlink(key, level_.Get());
+    if (node == nullptr) {
       return false;
     }
-    const int height = node->height();
-    for (int level = 0; level < height; ++level) {
-      // The predecessor at this level might not point at `node` (taller
-      // predecessors can skip it only if heights disagree — they cannot for
-      // the matched key, but guard for robustness).
-      if (succs[level] == node) {
-        preds[level]->next(level).Set(node->next(level).Get());
-      }
-    }
-    if (Transaction* tx = CurrentTx()) {
-      tx->OnCommit([node] { EbrDomain::Global().RetireObject(node); });
-    } else {
-      EbrDomain::Global().RetireObject(node);
-    }
+    Retire(node);
     return true;
+  }
+
+  // A node that the running attempt built (T3c's second to fourth nudge of
+  // a part) is private to it: it is re-keyed in place and relinked with its
+  // height. Any other node is retired after commit and replaced, as Remove
+  // and Insert would.
+  void Move(const K& from, const K& to, V value) override {
+    const int level = level_.Get();
+    Node* node = Unlink(from, level);
+    if (node != nullptr && !node->unit().captured()) {
+      Retire(node);
+      node = nullptr;
+    }
+    if (!LinkKey(to, value, level, node) && node != nullptr) {
+      // `to` was present and took the value. The spare node goes the way
+      // of a removed one; its abort hook frees it if the attempt dies.
+      Retire(node);
+    }
   }
 
   void Range(const K& lo, const K& hi,
@@ -183,7 +162,9 @@ class SkipListIndex : public Index<K, V> {
     Link& next(int level) { return links()[level]; }
     int height() const { return height_; }
 
-    const K key;  // immutable: safe to compare without transactional reads
+    // Immutable once shared, so compared without transactional reads; only
+    // Move re-keys a node, and only while the running attempt owns it.
+    K key;
     TxField<V> value;
 
    private:
@@ -212,6 +193,82 @@ class SkipListIndex : public Index<K, V> {
       bits >>= 2;
     }
     return height;
+  }
+
+  // Unlinks the node holding `key`, searching from `level`, the list level,
+  // and returns it (null when absent) for the caller to retire or relink.
+  Node* Unlink(const K& key, int level) {
+    Node* preds[kMaxHeight];
+    Node* succs[kMaxHeight];
+    Node* node = FindGreaterOrEqual(key, level, preds, succs);
+    if (node == nullptr || !(node->key == key)) {
+      return nullptr;
+    }
+    const int height = node->height();
+    for (int l = 0; l < height; ++l) {
+      // The predecessor at this level might not point at `node` (taller
+      // predecessors can skip it only if heights disagree — they cannot for
+      // the matched key, but guard for robustness).
+      if (succs[l] == node) {
+        preds[l]->next(l).Set(node->next(l).Get());
+      }
+    }
+    return node;
+  }
+
+  // Maps `key` to `value`, searching from `level`, the list level. A present
+  // key takes the value, and LinkKey returns false. Otherwise it links
+  // `spare` under `key` or, when `spare` is null, a fresh node, and returns
+  // true. A spare is a node the running attempt built and has unlinked: no
+  // other thread can reach it, so its key and links change without the STM,
+  // and it keeps its height, which `level` already covers.
+  bool LinkKey(const K& key, V value, int level, Node* spare) {
+    Node* preds[kMaxHeight];
+    Node* succs[kMaxHeight];
+    Node* node = FindGreaterOrEqual(key, level, preds, succs);
+    if (node != nullptr && node->key == key) {
+      node->value.Set(value);
+      return false;
+    }
+    if (spare != nullptr) {
+      spare->key = key;
+      spare->value.Set(value);
+      for (int l = 0; l < spare->height(); ++l) {
+        spare->next(l).Set(succs[l]);
+        preds[l]->next(l).Set(spare);
+      }
+      return true;
+    }
+    const int height = HeightFor(key);
+    // No node was ever linked at or above the list level.
+    for (int l = level; l < height; ++l) {
+      preds[l] = head_;
+      succs[l] = nullptr;
+    }
+    // The new node's links are born pointing at its successors.
+    Node* fresh = Node::Make(key, value, height, succs);
+    // Registered before the first transactional access: the writes below
+    // may abort the attempt, and the node is not yet shared.
+    if (Transaction* tx = CurrentTx()) {
+      tx->OnAbort([fresh] { delete fresh; });
+    }
+    for (int l = 0; l < height; ++l) {
+      preds[l]->next(l).Set(fresh);
+    }
+    if (height > level) {
+      level_.Set(height);
+    }
+    return true;
+  }
+
+  // Frees an unlinked node once no reader can still hold it: through EBR,
+  // after the commit when a transaction is running.
+  static void Retire(Node* node) {
+    if (Transaction* tx = CurrentTx()) {
+      tx->OnCommit([node] { EbrDomain::Global().RetireObject(node); });
+    } else {
+      EbrDomain::Global().RetireObject(node);
+    }
   }
 
   // Searches down from `top`, the list level, and returns the first node with

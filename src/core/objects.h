@@ -51,10 +51,12 @@ class DesignObject : public TmObject {
 
   // The canonical non-indexed update: toggles the date by +-1, keeping the
   // value inside the configured range (mirrors the Java benchmark's
-  // updateBuildDate).
-  void NudgeBuildDate() {
+  // updateBuildDate). Returns the new date.
+  Date NudgeBuildDate() {
     const Date date = build_date_.Get();
-    build_date_.Set((date % 2) == 0 ? date + 1 : date - 1);
+    const Date nudged = (date % 2) == 0 ? date + 1 : date - 1;
+    build_date_.Set(nudged);
+    return nudged;
   }
 
  private:

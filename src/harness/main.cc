@@ -293,8 +293,9 @@ int main(int argc, char** argv) {
     // arrivals got typed rejections until now.
     server->Stop();
     const sb7::net::ServerStats stats = server->stats();
-    std::cout << "serve: sessions accepted " << stats.sessions_accepted << ", dropped "
-              << stats.sessions_dropped << ", frames in " << stats.frames_in << ", bad "
+    std::cout << "serve: sessions accepted " << stats.sessions_accepted << ", closed "
+              << stats.sessions_closed << ", dropped " << stats.sessions_dropped
+              << ", frames in " << stats.frames_in << ", bad "
               << stats.bad_frames << ", admitted " << ingress.accepted() << ", rejected "
               << ingress.rejected() << "\n";
   }

@@ -242,9 +242,11 @@ void OpServer::EventLoop() {
     }
     for (auto& session : to_service) {
       // mo: acquire pairs with the release in SendFrame's failure path.
-      if (session->dead.load(std::memory_order_acquire) ||
-          !ServiceSession(*session)) {
-        DropSession(session->id, &poller);
+      const SessionState state = session->dead.load(std::memory_order_acquire)
+                                     ? SessionState::kBroken
+                                     : ServiceSession(*session);
+      if (state != SessionState::kOpen) {
+        DropSession(session->id, &poller, state);
       }
     }
 
@@ -260,7 +262,7 @@ void OpServer::EventLoop() {
       }
     }
     for (uint64_t id : reap) {
-      DropSession(id, &poller);
+      DropSession(id, &poller, SessionState::kBroken);
     }
   }
 }
@@ -291,7 +293,7 @@ void OpServer::AcceptNewSessions(Poller* poller) {
   }
 }
 
-bool OpServer::ServiceSession(Session& session) {
+OpServer::SessionState OpServer::ServiceSession(Session& session) {
   char buffer[4096];
   for (;;) {
     const ssize_t n = ReadSome(session.fd.get(), buffer, sizeof(buffer));
@@ -299,29 +301,32 @@ bool OpServer::ServiceSession(Session& session) {
       session.inbuf.append(buffer, static_cast<size_t>(n));
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+    if (n == 0) {
+      return SessionState::kClosed;  // orderly EOF
+    }
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
       break;  // drained for now
     }
-    return false;  // orderly EOF or hard error: drop
+    return SessionState::kBroken;  // hard error
   }
 
   std::string payload;
   for (;;) {
     const FrameStatus status = TryExtractFrame(&session.inbuf, &payload);
     if (status == FrameStatus::kNeedMore) {
-      return true;
+      return SessionState::kOpen;
     }
     if (status == FrameStatus::kTooLarge) {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.bad_frames;
-      return false;
+      return SessionState::kBroken;
     }
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.frames_in;
     }
     if (!HandleFrame(session, payload)) {
-      return false;
+      return SessionState::kBroken;
     }
   }
 }
@@ -374,7 +379,7 @@ bool OpServer::HandleFrame(Session& session, const std::string& payload) {
   return true;
 }
 
-void OpServer::DropSession(uint64_t session_id, Poller* poller) {
+void OpServer::DropSession(uint64_t session_id, Poller* poller, SessionState how) {
   std::shared_ptr<Session> session;
   {
     std::lock_guard<std::mutex> lock(sessions_mutex_);
@@ -397,7 +402,7 @@ void OpServer::DropSession(uint64_t session_id, Poller* poller) {
     session->fd.reset();
   }
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.sessions_dropped;
+  ++(how == SessionState::kClosed ? stats_.sessions_closed : stats_.sessions_dropped);
 }
 
 }  // namespace sb7::net

@@ -36,6 +36,7 @@ struct ServerOptions {
 
 struct ServerStats {
   uint64_t sessions_accepted = 0;
+  uint64_t sessions_closed = 0;   ///< the client closed its end (EOF)
   uint64_t sessions_dropped = 0;  ///< protocol violations + dead writers
   uint64_t frames_in = 0;
   uint64_t bad_frames = 0;  ///< oversize/undecodable frames (drops session)
@@ -79,15 +80,19 @@ class OpServer {
   struct Session;
   class Poller;
 
+  /// What servicing a session left it as.
+  enum class SessionState { kOpen, kClosed, kBroken };
+
   void EventLoop();
   void AcceptNewSessions(Poller* poller);
-  /// Drains readable bytes and frames from one session; returns false when
-  /// the session should be dropped.
-  bool ServiceSession(Session& session);
+  /// Drains readable bytes and frames from one session: kClosed when the
+  /// client closed its end, kBroken on a read error or protocol violation.
+  SessionState ServiceSession(Session& session);
   bool HandleFrame(Session& session, const std::string& payload);
   /// Serialized frame write; marks the session dead on failure.
   bool SendFrame(Session& session, const std::string& payload);
-  void DropSession(uint64_t session_id, Poller* poller);
+  /// Closes and forgets a session, counted as closed or as dropped.
+  void DropSession(uint64_t session_id, Poller* poller, SessionState how);
 
   const ServerOptions options_;
   IngressQueue* const ingress_;

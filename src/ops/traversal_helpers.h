@@ -57,11 +57,12 @@ int64_t TraverseAtomicGraph(AtomicPart* root, Fn&& fn) {
 
 // Updates an atomic part's *indexed* build date (T3a/b/c, OP15): the date
 // index must track the change, mirroring how the original benchmark updates
-// the index inside the operation.
+// the index inside the operation. The entry moves in one index update.
 inline void UpdateAtomicPartDateIndexed(DataHolder& dh, AtomicPart* part) {
-  dh.atomic_part_date_index().Remove(MakeDateKey(part->build_date(), part->id()));
-  part->NudgeBuildDate();
-  dh.atomic_part_date_index().Insert(MakeDateKey(part->build_date(), part->id()), part);
+  const Date old_date = part->build_date();
+  const Date new_date = part->NudgeBuildDate();
+  dh.atomic_part_date_index().Move(MakeDateKey(old_date, part->id()),
+                                   MakeDateKey(new_date, part->id()), part);
 }
 
 // Random id in [1, pool.capacity()] — the benchmark's designed failure

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -218,16 +219,24 @@ TEST_P(IndexTest, LargeRandomWorkloadMatchesStdMap) {
   auto index = MakeIntIndex(GetParam());
   std::map<int64_t, int64_t*> model;
   int64_t value = 0;
+  int64_t moved = 0;
   Rng rng(99);
   for (int i = 0; i < 5000; ++i) {
     const int64_t key = static_cast<int64_t>(rng.NextBounded(500));
-    switch (rng.NextBounded(3)) {
+    switch (rng.NextBounded(4)) {
       case 0:
         EXPECT_EQ(index->Insert(key, &value), model.insert_or_assign(key, &value).second);
         break;
       case 1:
         EXPECT_EQ(index->Remove(key), model.erase(key) > 0);
         break;
+      case 2: {
+        const int64_t other = static_cast<int64_t>(rng.NextBounded(500));
+        index->Move(key, other, &moved);
+        model.erase(key);
+        model.insert_or_assign(other, &moved);
+        break;
+      }
       default: {
         auto it = model.find(key);
         EXPECT_EQ(index->Lookup(key), it == model.end() ? nullptr : it->second);
@@ -555,6 +564,123 @@ TEST(IndexAuditTest, AbortedLevelRiseLeavesLevelAndContentsUnchanged) {
   ExpectSkipListHolds(index, keys);
   EbrDomain::Global().DrainAll();
 }
+
+// Move re-keys a node that the running attempt built instead of replacing
+// it. Every backend must treat that node as private to the attempt, commit
+// it where its last move left it, and free it exactly once: after the commit
+// when it is replaced, through its abort hook when the attempt dies.
+class SkipListMoveTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SkipListMoveTest, CommittedMovesRetireOneNodeWhereRemoveAndInsertRetireFour) {
+  auto stm = MakeStm(GetParam());
+  SkipListIndex<int64_t, int64_t> index;
+  // Two adjacent keys of height 1: every update below writes one shared
+  // link, the head's bottom one; the nodes' own fields are captured.
+  int64_t a = 1;
+  while (HeightOf(a) != 1 || HeightOf(a + 1) != 1) {
+    ++a;
+  }
+  const int64_t b = a + 1;
+  index.Insert(a, 3 * a);
+  // mvstm also retires, on commit, the version it displaces in each field
+  // it writes.
+  const int64_t versions = std::string(GetParam()) == "mvstm" ? 1 : 0;
+  // The thread's first attempt brings it online in EBR, which may run a
+  // reclamation pass; the counts below start after it.
+  stm->RunAtomically([&](Transaction&) { EXPECT_EQ(index.Lookup(a), 3 * a); });
+  EbrDomain::Global().DrainAll();
+
+  // There and back twice: the first move replaces the shared node, the other
+  // three re-key the node it built.
+  int64_t before = EbrDomain::Global().PendingCount();
+  stm->RunAtomically([&](Transaction&) {
+    for (int round = 0; round < 2; ++round) {
+      index.Move(a, b, 3 * b);
+      index.Move(b, a, 3 * a);
+    }
+  });
+  EXPECT_EQ(EbrDomain::Global().PendingCount() - before, 1 + versions);
+  ExpectSkipListHolds(index, {a});
+  EbrDomain::Global().DrainAll();
+
+  before = EbrDomain::Global().PendingCount();
+  stm->RunAtomically([&](Transaction&) {
+    for (int round = 0; round < 2; ++round) {
+      index.Remove(a);
+      index.Insert(b, 3 * b);
+      index.Remove(b);
+      index.Insert(a, 3 * a);
+    }
+  });
+  EXPECT_EQ(EbrDomain::Global().PendingCount() - before, 4 + versions);
+  ExpectSkipListHolds(index, {a});
+  EbrDomain::Global().DrainAll();
+}
+
+TEST_P(SkipListMoveTest, AbortedMovesLeaveTheIndexUnchanged) {
+  auto stm = MakeStm(GetParam());
+  SkipListIndex<int64_t, int64_t> index;
+  const std::set<int64_t> keys = {10, 20, 30, 40, 50};
+  for (const int64_t key : keys) {
+    index.Insert(key, 3 * key);
+  }
+  stm->RunAtomically([&](Transaction&) { EXPECT_EQ(index.Lookup(10), 30); });
+  EbrDomain::Global().DrainAll();
+  const int64_t before = EbrDomain::Global().PendingCount();
+  int attempts = 0;
+  stm->RunAtomically([&](Transaction&) {
+    if (++attempts == 1) {
+      index.Move(10, 15, 45);  // replaces the shared node
+      index.Move(15, 25, 75);  // re-keys the node just built
+      index.Move(25, 30, 7);   // the built node onto a present key
+      index.Move(40, 41, 123);
+      index.Move(41, 5, 15);
+      index.Move(50, 55, 165);
+      EXPECT_EQ(index.Lookup(30), 7);
+      EXPECT_EQ(index.Lookup(5), 15);
+      throw TxAborted{};
+    }
+    // The retry sees the state the aborted attempt started from.
+    EXPECT_EQ(index.Lookup(10), 30);
+    EXPECT_EQ(index.Lookup(30), 90);
+    EXPECT_EQ(index.Lookup(5), 0);
+  });
+  EXPECT_EQ(attempts, 2);
+  // The aborted attempt retired nothing; its abort hooks freed its nodes.
+  EXPECT_EQ(EbrDomain::Global().PendingCount(), before);
+  EXPECT_EQ(index.Size(), static_cast<int64_t>(keys.size()));
+  ExpectSkipListHolds(index, keys);
+  EbrDomain::Global().DrainAll();
+}
+
+TEST_P(SkipListMoveTest, MoveOntoAPresentKeyReplacesItsValue) {
+  auto stm = MakeStm(GetParam());
+  SkipListIndex<int64_t, int64_t> index;
+  for (const int64_t key : {10, 20, 30}) {
+    index.Insert(key, 3 * key);
+  }
+  // A shared node onto a present key.
+  stm->RunAtomically([&](Transaction&) { index.Move(10, 30, 7); });
+  EXPECT_EQ(index.Lookup(10), 0);
+  EXPECT_EQ(index.Lookup(30), 7);
+  EXPECT_EQ(index.Size(), 2);
+  // The node the attempt built onto a present key: it is retired, not linked.
+  stm->RunAtomically([&](Transaction&) {
+    index.Move(20, 25, 75);
+    index.Move(25, 30, 8);
+  });
+  EXPECT_EQ(index.Lookup(20), 0);
+  EXPECT_EQ(index.Lookup(25), 0);
+  EXPECT_EQ(index.Lookup(30), 8);
+  EXPECT_EQ(index.Size(), 1);
+  EbrDomain::Global().DrainAll();
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStms, SkipListMoveTest,
+                         ::testing::Values("tl2", "tinystm", "norec", "astm", "mvstm"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 TEST(IndexAuditTest, DateKeyHelpersRoundTripAtTheIdBoundaries) {
   // The date index emulates a multimap with (date, id) composite keys; an

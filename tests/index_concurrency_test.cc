@@ -1,10 +1,11 @@
 // Concurrent index iteration under STM: skiplist_index and snapshot_index
 // are iterated (ForEach / Range) while structure-modifying transactions keep
-// moving keys, under tl2 and under mvstm (whose read-only snapshot path is
-// exactly what long iterations exercise). Every observation is checked
-// against the indexes' invariants, and the final structure is pinned with
-// the oracle fingerprint (src/check/fingerprint.h) computed through two
-// independent iteration paths.
+// moving keys with Index::Move, under tl2 and under mvstm (whose read-only
+// snapshot path is exactly what long iterations exercise), and the skip
+// list also under tinystm. Every observation is checked against the
+// indexes' invariants, and the final structure is pinned with the oracle
+// fingerprint (src/check/fingerprint.h) computed through two independent
+// iteration paths.
 
 #include <gtest/gtest.h>
 
@@ -94,13 +95,25 @@ TEST_P(IndexConcurrencyTest, IterationDuringStructureModsSeesConsistentSnapshots
         const int64_t even = 2 * pair;
         const int64_t odd = even + 1;
         stm->RunAtomically([&](Transaction&) {
-          // Move whichever twin is present to the other — one remove and one
-          // insert per transaction, atomically, preserving the count.
-          if (index->Remove(even)) {
-            index->Insert(odd, 3 * odd);
-          } else if (index->Remove(odd)) {
-            index->Insert(even, 3 * even);
+          // Move whichever twin is present to the other, atomically,
+          // preserving the count. Every other attempt first moves it there
+          // and back twice, which re-keys the node the attempt built.
+          int64_t from = -1;
+          index->Range(even, odd, [&](const int64_t& key, const int64_t&) {
+            from = key;
+            return false;
+          });
+          if (from < 0) {
+            return;
           }
+          const int64_t to = from == even ? odd : even;
+          if (i % 2 == 1) {
+            for (int round = 0; round < 2; ++round) {
+              index->Move(from, to, 3 * to);
+              index->Move(to, from, 3 * from);
+            }
+          }
+          index->Move(from, to, 3 * to);
         });
         EbrDomain::Global().Quiesce();
       }
@@ -162,7 +175,11 @@ TEST_P(IndexConcurrencyTest, IterationDuringStructureModsSeesConsistentSnapshots
 INSTANTIATE_TEST_SUITE_P(
     StmsAndIndexes, IndexConcurrencyTest,
     ::testing::Values(Params{"tl2", "skiplist"}, Params{"tl2", "snapshot"},
-                      Params{"mvstm", "skiplist"}, Params{"mvstm", "snapshot"}),
+                      Params{"mvstm", "skiplist"}, Params{"mvstm", "snapshot"},
+                      // tinystm links the node an attempt builds in place,
+                      // under held locks: re-keying it leans on readers
+                      // never using a value they loaded from a locked field.
+                      Params{"tinystm", "skiplist"}),
     [](const ::testing::TestParamInfo<Params>& info) {
       return std::string(info.param.stm) + "_" + info.param.index;
     });

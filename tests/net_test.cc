@@ -466,7 +466,32 @@ TEST(OpServerTest, DropsSessionsThatSendOversizeFrames) {
   }
   EXPECT_GE(stats.bad_frames, 1u);
   EXPECT_GE(stats.sessions_dropped, 1u);
+  EXPECT_EQ(stats.sessions_closed, 0u);
   EXPECT_EQ(queue.accepted(), 0u);
+  server.Stop();
+}
+
+TEST(OpServerTest, CountsAnOrderlyCloseAsClosedNotDropped) {
+  IngressQueue queue(8);
+  OpServer server(ServerOptions{}, &queue, /*op_count=*/10);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  HelloAck ack;
+  net::ConnectResult conn = HandshakeClient(server.port(), &ack);
+  ASSERT_TRUE(conn.ok()) << conn.error;
+  conn.fd.reset();  // a clean close: the server reads EOF
+
+  net::ServerStats stats = server.stats();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (stats.sessions_closed == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    stats = server.stats();
+  }
+  EXPECT_EQ(stats.sessions_accepted, 1u);
+  EXPECT_EQ(stats.sessions_closed, 1u);
+  EXPECT_EQ(stats.sessions_dropped, 0u);
+  EXPECT_EQ(stats.bad_frames, 0u);
   server.Stop();
 }
 
