@@ -144,6 +144,34 @@ void BM_RwLockWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_RwLockWrite);
 
+// The contended handoff: every thread of a run takes this one lock, so most
+// acquisitions wait for another thread's release.
+RwLock contended_lock;
+int64_t contended_writes = 0;  // written under contended_lock's write mode
+
+void BM_RwLockWriteContended(benchmark::State& state) {
+  for (auto _ : state) {
+    WriteGuard guard(contended_lock);
+    ++contended_writes;
+  }
+}
+BENCHMARK(BM_RwLockWriteContended)->Threads(2)->Threads(4)->UseRealTime();
+
+// Nine writes to one read, the shape of perfbench's short-write-2t mix.
+void BM_RwLockMixedContended(benchmark::State& state) {
+  int64_t i = 0;
+  for (auto _ : state) {
+    if (i++ % 10 == 0) {
+      ReadGuard guard(contended_lock);
+      benchmark::DoNotOptimize(contended_writes);
+    } else {
+      WriteGuard guard(contended_lock);
+      ++contended_writes;
+    }
+  }
+}
+BENCHMARK(BM_RwLockMixedContended)->Threads(2)->Threads(4)->UseRealTime();
+
 void BM_EbrRetireAndQuiesce(benchmark::State& state) {
   EbrDomain& domain = EbrDomain::Global();
   for (auto _ : state) {

@@ -5,7 +5,7 @@
 //
 // Rules:
 //   R1  atomics discipline — in src/stm, src/mvstm, src/trace,
-//       src/telemetry and src/net every atomic
+//       src/telemetry, src/net and src/sync every atomic
 //       member op (.load/.store/.exchange/.fetch_*/.compare_exchange_*)
 //       must name a memory_order (no defaulted seq_cst) and carry a
 //       `// mo:` rationale on the same line or within the 6 preceding ones.
@@ -536,7 +536,7 @@ std::vector<Finding> LintTree(const fs::path& root, std::string* error) {
     const bool r1_scope = HasPrefix(label, "src/stm/") || HasPrefix(label, "src/mvstm/") ||
                           HasPrefix(label, "src/trace/") ||
                           HasPrefix(label, "src/telemetry/") ||
-                          HasPrefix(label, "src/net/");
+                          HasPrefix(label, "src/net/") || HasPrefix(label, "src/sync/");
     const bool r2_allowed = HasPrefix(label, "src/stm/") || HasPrefix(label, "src/mvstm/");
     const bool r5_scope = HasPrefix(label, "src/harness/") && label != "src/harness/main.cc";
     if (r1_scope) {
