@@ -1,10 +1,10 @@
-#include "src/perf/json.h"
+#include "src/common/json.h"
 
 #include <cctype>
 #include <cstdlib>
 #include <sstream>
 
-namespace sb7::perf {
+namespace sb7 {
 
 const std::vector<JsonValue>& JsonValue::Items() const {
   static const std::vector<JsonValue> empty;
@@ -282,4 +282,4 @@ class Parser {
 
 JsonParseResult ParseJson(const std::string& text) { return Parser(text).Parse(); }
 
-}  // namespace sb7::perf
+}  // namespace sb7

@@ -1,23 +1,25 @@
 /// \file
 /// Minimal JSON document model and recursive-descent parser.
 ///
-/// `sb7-bench --compare` must read back the `BENCH_*.json` artifacts it
-/// writes; rather than growing a third-party dependency the perf subsystem
-/// carries this ~200-line parser. It handles exactly the JSON subset the
-/// report writers emit (objects, arrays, strings with the escape set of
-/// `report.cc`, doubles, booleans, null) and rejects everything else with a
-/// position-tagged error. It is not a general-purpose JSON library: numbers
-/// are always doubles and object key order is not preserved.
+/// `sb7-bench --compare` reads back the `BENCH_*.json` artifacts it writes,
+/// the telemetry validator reads the JSONL series line by line, and the
+/// tests parse every artifact the tools emit; rather than growing a
+/// third-party dependency they share this ~200-line parser. It handles
+/// exactly the JSON subset the writers emit (objects, arrays, strings with
+/// the escape set of `json_string.h`, doubles, booleans, null) and rejects
+/// everything else with a position-tagged error. It is not a
+/// general-purpose JSON library: numbers are always doubles and object key
+/// order is not preserved.
 
-#ifndef STMBENCH7_SRC_PERF_JSON_H_
-#define STMBENCH7_SRC_PERF_JSON_H_
+#ifndef STMBENCH7_SRC_COMMON_JSON_H_
+#define STMBENCH7_SRC_COMMON_JSON_H_
 
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-namespace sb7::perf {
+namespace sb7 {
 
 /// One parsed JSON value. The kind discriminates which accessor is valid;
 /// the convenience getters below return a fallback instead of asserting so
@@ -88,6 +90,6 @@ struct JsonParseResult {
 /// Parses one JSON document; trailing non-whitespace is an error.
 JsonParseResult ParseJson(const std::string& text);
 
-}  // namespace sb7::perf
+}  // namespace sb7
 
-#endif  // STMBENCH7_SRC_PERF_JSON_H_
+#endif  // STMBENCH7_SRC_COMMON_JSON_H_

@@ -1,5 +1,6 @@
 #include "src/harness/cli.h"
 
+#include "src/common/checked_parse.h"
 #include "src/common/text.h"
 #include "src/scenario/scenario.h"
 #include "src/stm/contention.h"
@@ -40,7 +41,6 @@ std::string UsageText() {
                          sampler tick interval in seconds (default 1)
   --metrics-port <n>     serve /metrics (Prometheus text) and /series (JSON)
                          on this TCP port during the run (0 = ephemeral)
-  --no-hw-counters       skip the perf_event hardware counters
   --verify               check all structure invariants after the run
   --check-opacity        record committed read/write sets and verify the
                          history is opaque (STM strategies only)
@@ -89,7 +89,7 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
   bool fuzz_seed_given = false;
   bool fuzz_sweep_flag_given = false;  // --fuzz-cases / --fuzz-budget
   bool trace_knob_given = false;       // --trace-sample / --trace-buffer
-  bool telemetry_knob_given = false;   // --telemetry-interval / --no-hw-counters
+  bool telemetry_knob_given = false;   // --telemetry-interval
   bool durability_knob_given = false;  // --durability / --crash-at
   // The --fuzz-* companion flags may appear in any order relative to --fuzz,
   // and --arrival/--rate/--burst in any order relative to --connect.
@@ -120,14 +120,12 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
       return result;
     }
     if (arg == "-t") {
-      int64_t threads = 0;
-      if (!next(value) || !ParseInt64(value, threads) || threads < 1) {
+      if (!next(value) || !ParseIntAtLeast(value, 1, config.threads)) {
         return fail("-t requires a positive integer");
       }
-      config.threads = static_cast<int>(threads);
     } else if (arg == "-l") {
       double seconds = 0;
-      if (!next(value) || !ParseDouble(value, seconds) || seconds <= 0) {
+      if (!next(value) || !ParseFinite(value, seconds) || seconds <= 0) {
         return fail("-l requires a positive number of seconds");
       }
       config.length_seconds = seconds;
@@ -188,7 +186,7 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
       config.long_traversals = false;
     } else if (arg == "--read-ratio" || arg == "--read-fraction") {
       double fraction = 0;
-      if (!next(value) || !ParseDouble(value, fraction) || fraction < 0 || fraction > 1) {
+      if (!next(value) || !ParseFinite(value, fraction) || fraction < 0 || fraction > 1) {
         return fail(arg + " requires a number in [0,1]");
       }
       config.read_fraction = fraction;
@@ -218,11 +216,9 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
       }
       result.trace_path = value;
     } else if (arg == "--trace-sample") {
-      int64_t period = 0;
-      if (!next(value) || !ParseInt64(value, period) || period < 1) {
+      if (!next(value) || !ParseIntAtLeast(value, 1, result.trace.sample_period)) {
         return fail("--trace-sample requires a positive integer");
       }
-      result.trace.sample_period = static_cast<uint32_t>(period);
       trace_knob_given = true;
     } else if (arg == "--trace-buffer") {
       int64_t capacity = 0;
@@ -238,7 +234,7 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
       result.telemetry_path = value;
     } else if (arg == "--telemetry-interval") {
       double seconds = 0;
-      if (!next(value) || !ParseDouble(value, seconds) || seconds <= 0) {
+      if (!next(value) || !ParseFinite(value, seconds) || seconds <= 0) {
         return fail("--telemetry-interval requires a positive number of seconds");
       }
       result.telemetry.interval_seconds = seconds;
@@ -249,9 +245,6 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
         return fail("--metrics-port requires a port number in [0,65535]");
       }
       result.telemetry.metrics_port = static_cast<int>(port);
-    } else if (arg == "--no-hw-counters") {
-      result.telemetry.hw_counters = false;
-      telemetry_knob_given = true;
     } else if (arg == "--verify") {
       result.verify_invariants = true;
     } else if (arg == "--check-opacity") {
@@ -305,16 +298,14 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
       }
     } else if (arg == "--rate") {
       double rate = 0;
-      if (!next(value) || !ParseDouble(value, rate) || rate <= 0) {
+      if (!next(value) || !ParseFinite(value, rate) || rate <= 0) {
         return fail("--rate requires a positive number of operations per second");
       }
       connect_cli().rate = rate;
     } else if (arg == "--burst") {
-      int64_t burst = 0;
-      if (!next(value) || !ParseInt64(value, burst) || burst < 1) {
+      if (!next(value) || !ParseIntAtLeast(value, 1, connect_cli().burst)) {
         return fail("--burst requires a positive integer");
       }
-      connect_cli().burst = static_cast<int>(burst);
     } else if (arg == "--differential") {
       result.differential = true;
     } else if (arg == "--fuzz") {
@@ -327,18 +318,14 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
       fuzz_cli().seed = seed;
       fuzz_seed_given = true;
     } else if (arg == "--fuzz-cases") {
-      int64_t cases = 0;
-      if (!next(value) || !ParseInt64(value, cases) || cases < 1) {
+      if (!next(value) || !ParseIntAtLeast(value, 1, fuzz_cli().cases)) {
         return fail("--fuzz-cases requires a positive integer");
       }
-      fuzz_cli().cases = static_cast<int>(cases);
       fuzz_sweep_flag_given = true;
     } else if (arg == "--fuzz-case") {
-      int64_t index = 0;
-      if (!next(value) || !ParseInt64(value, index) || index < 0) {
+      if (!next(value) || !ParseIntAtLeast(value, 0, fuzz_cli().case_index)) {
         return fail("--fuzz-case requires a non-negative integer");
       }
-      fuzz_cli().case_index = static_cast<int>(index);
     } else if (arg == "--fuzz-phases") {
       if (!next(value) || value.empty()) {
         return fail("--fuzz-phases requires a comma-separated phase list");
@@ -350,11 +337,9 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
         return fail("--fuzz-phases requires at least one phase name");
       }
     } else if (arg == "--fuzz-threads") {
-      int64_t threads = 0;
-      if (!next(value) || !ParseInt64(value, threads) || threads < 1) {
+      if (!next(value) || !ParseIntAtLeast(value, 1, fuzz_cli().threads_override)) {
         return fail("--fuzz-threads requires a positive integer");
       }
-      fuzz_cli().threads_override = static_cast<int>(threads);
     } else if (arg == "--fuzz-ops") {
       int64_t ops = 0;
       if (!next(value) || !ParseInt64(value, ops) || ops < 1) {
@@ -363,7 +348,7 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
       fuzz_cli().ops_per_phase = ops;
     } else if (arg == "--fuzz-budget") {
       double seconds = 0;
-      if (!next(value) || !ParseDouble(value, seconds) || seconds <= 0) {
+      if (!next(value) || !ParseFinite(value, seconds) || seconds <= 0) {
         return fail("--fuzz-budget requires a positive number of seconds");
       }
       fuzz_cli().budget_seconds = seconds;
@@ -414,9 +399,7 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
   }
   if (telemetry_knob_given && result.telemetry_path.empty() &&
       result.telemetry.metrics_port < 0) {
-    return fail(
-        "--telemetry-interval/--no-hw-counters only apply with --telemetry <file> "
-        "or --metrics-port <n>");
+    return fail("--telemetry-interval only applies with --telemetry <file> or --metrics-port <n>");
   }
   if (durability_knob_given && result.redo_log.path.empty()) {
     return fail("--durability/--crash-at only apply with --redo-log <file>");

@@ -68,8 +68,8 @@ struct CliResult {
   trace::TraceOptions trace;
   // Sample live telemetry and write the series as versioned JSONL here
   // (--telemetry). A run samples when this is set or telemetry.metrics_port
-  // is >= 0 (--metrics-port; --telemetry-interval and --no-hw-counters set
-  // the rest of `telemetry`).
+  // is >= 0 (--metrics-port; --telemetry-interval sets the rest of
+  // `telemetry`).
   std::string telemetry_path;
   telemetry::TelemetryOptions telemetry;
   // Durable redo log, kept when redo_log.path is set (--redo-log,

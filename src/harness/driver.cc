@@ -39,9 +39,6 @@ BenchmarkRunner::BenchmarkRunner(const BenchConfig& config, const RunInstruments
   SB7_CHECK(strategy_ != nullptr);
 
   if (telemetry_ != nullptr) {
-    // Hardware counters must open before the worker threads exist —
-    // perf_event inherit only covers threads spawned afterwards.
-    telemetry_->StartHw();
     telemetry_->SetStmSource([this]() { return StmSnapshot(); });
     if (tracer_ != nullptr) {
       telemetry_->SetTraceDroppedSource([this]() { return tracer_->TotalDropped(); });
@@ -170,7 +167,6 @@ void BenchmarkRunner::BeginPhaseLocked(int phase_index) {
     acc.conflict_begin = tracer_->ConflictSnapshot();
   }
   if (telemetry_ != nullptr) {
-    acc.hw_begin = telemetry_->HwNow();
     telemetry_->SetPhase(phase_index, phase.spec.name);
   }
 }
@@ -182,9 +178,6 @@ void BenchmarkRunner::FinishPhaseLocked(int phase_index) {
   acc.hot_end = ReadHotspotCounters();
   if (tracer_ != nullptr) {
     acc.conflict_end = tracer_->ConflictSnapshot();
-  }
-  if (telemetry_ != nullptr) {
-    acc.hw_end = telemetry_->HwNow();
   }
 }
 
@@ -490,7 +483,6 @@ BenchResult BenchmarkRunner::Run() {
     pr.stm = StmStats::View::Subtract(acc.stm_end, acc.stm_begin);
     pr.hot_samples = acc.hot_end.samples - acc.hot_begin.samples;
     pr.hot_hits = acc.hot_end.hot_hits - acc.hot_begin.hot_hits;
-    pr.hw = telemetry::HwSample::Delta(acc.hw_end, acc.hw_begin);
     if (tracer_ != nullptr) {
       pr.conflicts = tracer_->SummarizeWindow(acc.conflict_end, acc.conflict_begin, kConflictTopK);
     }
@@ -503,14 +495,6 @@ BenchResult BenchmarkRunner::Run() {
   result.elapsed_seconds = NanosToSeconds(end - start);
   if (Stm* stm = strategy_->stm()) {
     result.stm = stm->stats().Snapshot();
-  }
-  // Whole-run hardware window: first begun phase to last finished phase (a
-  // global op cap can leave trailing phases that never began).
-  for (auto it = accounting_.rbegin(); it != accounting_.rend(); ++it) {
-    if (it->end_nanos != 0) {
-      result.hw = telemetry::HwSample::Delta(it->hw_end, accounting_.front().hw_begin);
-      break;
-    }
   }
   if (tracer_ != nullptr) {
     result.traced = true;

@@ -68,9 +68,9 @@ struct RunInstruments {
   // events; installed for the duration of Run(). The caller drains the
   // timeline afterwards.
   trace::Tracer* tracer = nullptr;
-  // Live telemetry: the runner opens its hardware counters, feeds it STM
-  // counters, phase gauges and every operation, and runs its sampler for the
-  // duration of Run(). The caller serves /metrics and writes the series.
+  // Live telemetry: the runner feeds it STM counters, phase gauges and every
+  // operation, and runs its sampler for the duration of Run(). The caller
+  // serves /metrics and writes the series.
   telemetry::Telemetry* telemetry = nullptr;
   // Served run: workers stop sampling operations locally and instead drain
   // admitted client requests from this queue in batches, executing each
@@ -121,10 +121,6 @@ class BenchmarkRunner {
     // Conflict-table snapshots at the phase boundaries (tracing runs only).
     trace::ConflictTable::Snapshot conflict_begin;
     trace::ConflictTable::Snapshot conflict_end;
-    // Hardware-counter readings at the phase boundaries (telemetry runs
-    // with perf_event available only; {available=false} otherwise).
-    telemetry::HwSample hw_begin;
-    telemetry::HwSample hw_end;
   };
 
   void WorkerLoop(int worker_index, Rng rng,

@@ -236,7 +236,7 @@ int main(int argc, char** argv) {
   }
   std::optional<sb7::net::OpServer> server;
   if (cli.listen_port.has_value()) {
-    server.emplace(sb7::net::ServerOptions{*cli.listen_port}, &ingress,
+    server.emplace(*cli.listen_port, &ingress,
                    static_cast<uint16_t>(runner.registry().all().size()));
     std::string error;
     if (!server->Start(&error)) {
@@ -271,12 +271,6 @@ int main(int argc, char** argv) {
                 << " (/metrics, /series)\n";
     } else {
       std::cerr << "warning: metrics endpoint disabled: " << error << "\n";
-    }
-  }
-  if (telemetry.has_value() && !telemetry->hw_available()) {
-    const std::string& detail = telemetry->hw_detail();
-    if (!detail.empty()) {
-      std::cerr << "note: hardware counters unavailable: " << detail << "\n";
     }
   }
   const sb7::BenchResult result = runner.Run();

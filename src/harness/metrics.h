@@ -10,7 +10,6 @@
 #include "src/ops/operation.h"
 #include "src/scenario/scenario.h"
 #include "src/stm/stm.h"
-#include "src/telemetry/series.h"
 #include "src/trace/conflict.h"
 #include "src/trace/tracer.h"
 
@@ -86,10 +85,6 @@ struct PhaseResult {
   // attributed_aborts stays 0 otherwise).
   trace::ConflictSummary conflicts;
 
-  // Hardware-counter delta over the phase (telemetry runs with perf_event
-  // available only; available=false otherwise).
-  telemetry::HwSample hw;
-
   double SuccessThroughput() const {
     return elapsed_seconds > 0 ? static_cast<double>(total_success) / elapsed_seconds : 0.0;
   }
@@ -123,10 +118,6 @@ struct BenchResult {
   std::vector<trace::OpLatencyBreakdown> latency_by_op;
   // Events lost to ring overflow (an honesty signal for the timeline).
   int64_t trace_events_dropped = 0;
-
-  // Whole-run hardware-counter delta (telemetry runs with perf_event
-  // available only).
-  telemetry::HwSample hw;
 
   double SuccessThroughput() const {
     return elapsed_seconds > 0 ? static_cast<double>(total_success) / elapsed_seconds : 0.0;

@@ -38,19 +38,6 @@ void PrintConflictSummary(std::ostream& out, const trace::ConflictSummary& confl
   }
 }
 
-// One-line hardware-counter summary (telemetry runs where perf_event opened).
-void PrintHwLine(std::ostream& out, const telemetry::HwSample& hw, const char* indent) {
-  if (!hw.available || hw.cycles == 0) {
-    return;
-  }
-  const double ipc = static_cast<double>(hw.instructions) / static_cast<double>(hw.cycles);
-  const double stall =
-      100.0 * static_cast<double>(hw.stalled_cycles) / static_cast<double>(hw.cycles);
-  out << indent << "hw: cycles " << hw.cycles << ", instructions " << hw.instructions
-      << " (IPC " << std::fixed << std::setprecision(2) << ipc << "), LLC misses "
-      << hw.llc_misses << ", backend stalls " << std::setprecision(1) << stall << "%\n";
-}
-
 void PrintPhaseSection(std::ostream& out, const PhaseResult& phase,
                        const std::vector<std::unique_ptr<Operation>>& ops, bool traced) {
   out << "  phase " << std::left << std::setw(10) << phase.name << std::right
@@ -100,7 +87,6 @@ void PrintPhaseSection(std::ostream& out, const PhaseResult& phase,
   if (traced && phase.conflicts.total_aborts > 0) {
     PrintConflictSummary(out, phase.conflicts, ops, "    ");
   }
-  PrintHwLine(out, phase.hw, "    ");
 }
 
 }  // namespace
@@ -268,11 +254,6 @@ void PrintReport(std::ostream& out, const BenchmarkRunner& runner, const BenchRe
           << ", snapshot-too-old " << stm.aborts_snapshot_too_old << ", unknown "
           << stm.aborts_unknown << "\n";
     }
-  }
-
-  if (result.hw.available && result.hw.cycles > 0) {
-    out << "\n== Hardware counters ==\n";
-    PrintHwLine(out, result.hw, "  ");
   }
 
   if (result.traced) {

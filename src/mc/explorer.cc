@@ -11,6 +11,11 @@
 namespace sb7::mc {
 namespace {
 
+// Steps a free run may take to drain an execution (past max_steps, a
+// sleep-blocked state or a replay's end) before it CHECK-fails: the
+// absolute liveness backstop.
+constexpr uint64_t kFreeRunHardCap = 1u << 20;
+
 // A deferred scheduling alternative: re-run the program, follow `prefix`,
 // then grant `alt` with `sleep` in effect at that state. The sleep set
 // already contains the siblings explored before this one (LIFO order makes
@@ -51,7 +56,7 @@ ScheduleTrace RunOne(const Litmus& litmus, const ExploreOptions& options,
   while (!scheduler.AllDone()) {
     if (trace.steps.size() >= options.max_steps) {
       trace.truncated = true;
-      scheduler.FreeRun(options.free_run_hard_cap);
+      scheduler.FreeRun(kFreeRunHardCap);
       break;
     }
     scheduler.CheckRaceAtState();
@@ -72,7 +77,7 @@ ScheduleTrace RunOne(const Litmus& litmus, const ExploreOptions& options,
         // The prefix no longer matches the program (can only happen for a
         // replayed cross-process trace; in-process prefixes are exact).
         trace.check_failure = "schedule prefix diverged: thread not enabled";
-        scheduler.FreeRun(options.free_run_hard_cap);
+        scheduler.FreeRun(kFreeRunHardCap);
         break;
       }
       ++pos;
@@ -96,7 +101,7 @@ ScheduleTrace RunOne(const Litmus& litmus, const ExploreOptions& options,
         // already-explored schedules. Drain without recording.
         ++*sleep_blocked;
         recording = false;
-        scheduler.FreeRun(options.free_run_hard_cap);
+        scheduler.FreeRun(kFreeRunHardCap);
         break;
       }
       chosen = best;
@@ -221,7 +226,6 @@ ScheduleTrace Replay(const Litmus& litmus, const std::vector<ReplayStep>& steps,
     litmus.setup();
   }
   scheduler.Start();
-  const uint64_t hard_cap = 1u << 20;
   for (const ReplayStep& expected : steps) {
     if (scheduler.AllDone()) {
       if (divergence && divergence->empty()) {
@@ -259,7 +263,7 @@ ScheduleTrace Replay(const Litmus& litmus, const std::vector<ReplayStep>& steps,
   // Drain whatever remains — replays of violation traces usually end right
   // at the violation, with threads still live.
   if (!scheduler.AllDone()) {
-    scheduler.FreeRun(hard_cap);
+    scheduler.FreeRun(kFreeRunHardCap);
   }
   if (litmus.check) {
     trace.check_failure = litmus.check();

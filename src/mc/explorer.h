@@ -41,7 +41,6 @@ struct ExploreOptions {
   uint64_t max_steps = 2000;       // recorded steps per execution
   int switch_bound = -1;           // max preemptions; -1 = unbounded
   bool sleep_sets = true;          // disable for reduction-soundness tests
-  uint64_t free_run_hard_cap = 1u << 20;  // absolute liveness backstop
 };
 
 /// A fully-recorded schedule: the replay seed format's in-memory form.

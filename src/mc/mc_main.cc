@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/checked_parse.h"
 #include "src/common/text.h"
 #include "src/mc/explorer.h"
 #include "src/mc/litmus.h"
@@ -103,11 +104,9 @@ Options ParseArgs(int argc, char** argv) {
       options.explore.max_steps = n;
       options.max_steps_given = true;
     } else if (arg == "--switch-bound") {
-      int64_t n = 0;
-      if (!next(value) || !sb7::ParseInt64(value, n) || n < -1) {
+      if (!next(value) || !sb7::ParseIntAtLeast(value, -1, options.explore.switch_bound)) {
         return fail("--switch-bound requires a count or -1");
       }
-      options.explore.switch_bound = static_cast<int>(n);
     } else if (arg == "--no-reduction") {
       options.explore.sleep_sets = false;
     } else if (arg == "--trace-out") {

@@ -19,6 +19,9 @@ namespace {
 /// Sleep granularity while waiting for a scheduled arrival.
 constexpr int64_t kPaceSleepNanos = 200'000;
 
+/// Per-I/O deadline (handshake, sends, final response drain).
+constexpr int kIoTimeoutMs = 5000;
+
 struct ConnState {
   ClientResult result;
   /// request_id → reference nanos (send time for closed loop, scheduled
@@ -119,12 +122,12 @@ void RunConnection(const ClientOptions& options, int64_t op_budget, Rng rng,
 
   std::string frame;
   AppendFrame(&frame, EncodeHello(Hello{}));
-  if (!WriteAll(fd, frame, options.io_timeout_ms)) {
+  if (!WriteAll(fd, frame, kIoTimeoutMs)) {
     state.result.error = "handshake write failed";
     return;
   }
   std::string payload;
-  if (!ReadFrame(fd, &payload, options.io_timeout_ms)) {
+  if (!ReadFrame(fd, &payload, kIoTimeoutMs)) {
     state.result.error = "handshake read failed";
     return;
   }
@@ -185,7 +188,7 @@ void RunConnection(const ClientOptions& options, int64_t op_budget, Rng rng,
         static_cast<uint16_t>(SampleOperation(options.ratios, rng));
     frame.clear();
     AppendFrame(&frame, EncodeRequest(request));
-    if (!WriteAll(fd, frame, options.io_timeout_ms)) {
+    if (!WriteAll(fd, frame, kIoTimeoutMs)) {
       state.result.error = "request write failed";
       return;
     }
@@ -201,7 +204,7 @@ void RunConnection(const ClientOptions& options, int64_t op_budget, Rng rng,
       // Closed loop: block (deadline-bounded) until this request's
       // response arrives before issuing the next one.
       while (!state.outstanding.empty()) {
-        if (!ReadFrame(fd, &payload, options.io_timeout_ms)) {
+        if (!ReadFrame(fd, &payload, kIoTimeoutMs)) {
           state.result.error = "response read failed";
           return;
         }
@@ -213,10 +216,10 @@ void RunConnection(const ClientOptions& options, int64_t op_budget, Rng rng,
     }
   }
 
-  // Final drain: give in-flight requests one io_timeout to come home;
+  // Final drain: give in-flight requests one I/O timeout to come home;
   // whatever is still unanswered counts as lost.
   const int64_t drain_deadline =
-      NowNanos() + static_cast<int64_t>(options.io_timeout_ms) * 1'000'000;
+      NowNanos() + static_cast<int64_t>(kIoTimeoutMs) * 1'000'000;
   while (!state.outstanding.empty() && NowNanos() < drain_deadline) {
     if (!ReadFrame(fd, &payload, 50)) {
       if (!DrainResponses(fd, state)) {

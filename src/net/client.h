@@ -38,8 +38,6 @@ struct ClientOptions {
   uint64_t seed = 20070326;
   /// Total request budget across connections; -1 = until `seconds` elapse.
   int64_t max_ops = -1;
-  /// Per-I/O deadline (handshake, sends, final response drain).
-  int io_timeout_ms = 5000;
 };
 
 struct ClientResult {

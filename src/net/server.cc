@@ -19,6 +19,10 @@ namespace {
 /// latency and the reap delay for sessions killed by a worker's write.
 constexpr int kLoopTickMs = 50;
 
+/// Budget for writing one response to a slow client before the session is
+/// declared dead and dropped (the slow-consumer backstop).
+constexpr int kWriteTimeoutMs = 2000;
+
 }  // namespace
 
 #if defined(__linux__)
@@ -113,9 +117,8 @@ struct OpServer::Session {
   std::atomic<bool> dead{false};
 };
 
-OpServer::OpServer(const ServerOptions& options, IngressQueue* ingress,
-                   uint16_t op_count)
-    : options_(options), ingress_(ingress), op_count_(op_count) {
+OpServer::OpServer(int port, IngressQueue* ingress, uint16_t op_count)
+    : requested_port_(port), ingress_(ingress), op_count_(op_count) {
   ingress_->SetCompletion([this](const IngressRequest& request, Status status,
                                  int64_t server_nanos) {
     Complete(request, status, server_nanos);
@@ -128,7 +131,7 @@ OpServer::~OpServer() {
 }
 
 bool OpServer::Start(std::string* error) {
-  ListenResult listen = ListenTcp(options_.port);
+  ListenResult listen = ListenTcp(requested_port_);
   if (!listen.ok()) {
     if (error != nullptr) {
       *error = listen.error;
@@ -195,7 +198,7 @@ bool OpServer::SendFrame(Session& session, const std::string& payload) {
   if (!session.fd.valid()) {
     return false;
   }
-  if (!WriteAll(session.fd.get(), frame, options_.write_timeout_ms)) {
+  if (!WriteAll(session.fd.get(), frame, kWriteTimeoutMs)) {
     // mo: publish the death; the event loop's acquire reap check pairs
     // with this release.
     session.dead.store(true, std::memory_order_release);

@@ -27,13 +27,6 @@
 
 namespace sb7::net {
 
-struct ServerOptions {
-  int port = 0;  ///< 0 = ephemeral; read the bound port via port()
-  /// Budget for writing one response to a slow client before the session
-  /// is declared dead and dropped (the slow-consumer backstop).
-  int write_timeout_ms = 2000;
-};
-
 struct ServerStats {
   uint64_t sessions_accepted = 0;
   uint64_t sessions_closed = 0;   ///< the client closed its end (EOF)
@@ -45,13 +38,13 @@ struct ServerStats {
 
 class OpServer {
  public:
-  /// `ingress` must outlive the server; the server installs itself as the
-  /// queue's completion, so the runner draining it answers through
+  /// Start() listens on `port` (0 = ephemeral; read the bound port via
+  /// port()). `ingress` must outlive the server; the server installs itself
+  /// as the queue's completion, so the runner draining it answers through
   /// Complete(). `op_count` is the size of the operation registry,
   /// advertised in the HelloAck and used to bounce out-of-range op indexes
   /// as kBadRequest before they reach a worker.
-  OpServer(const ServerOptions& options, IngressQueue* ingress,
-           uint16_t op_count);
+  OpServer(int port, IngressQueue* ingress, uint16_t op_count);
   ~OpServer();
 
   OpServer(const OpServer&) = delete;
@@ -94,7 +87,7 @@ class OpServer {
   /// Closes and forgets a session, counted as closed or as dropped.
   void DropSession(uint64_t session_id, Poller* poller, SessionState how);
 
-  const ServerOptions options_;
+  const int requested_port_;
   IngressQueue* const ingress_;
   const uint16_t op_count_;
 

@@ -10,12 +10,12 @@
 #include <map>
 #include <sstream>
 
+#include "src/common/checked_parse.h"
+#include "src/common/json.h"
 #include "src/common/text.h"
 #include "src/perf/compare.h"
-#include "src/perf/json.h"
 #include "src/perf/report.h"
 #include "src/perf/runner.h"
-#include "src/perf/stats.h"
 #include "src/telemetry/series.h"
 
 namespace {
@@ -46,7 +46,7 @@ std::string UsageText() {
   --trace-cells          install the tracer for every cell and record a
                          per-cell conflict summary in the artifact
   --no-telemetry         run the cells without the live telemetry sampler
-                         (drops the steady_state/hw blocks; overhead A/B runs)
+                         (drops the steady_state block; overhead A/B runs)
   --validate-json <file> parse a JSON file (e.g. a --trace timeline) with the
                          in-tree parser and exit 0 iff it is well-formed
   --validate-jsonl <file>
@@ -54,8 +54,6 @@ std::string UsageText() {
                          telemetry schema and exit 0 iff it conforms
   --quiet                suppress per-cell progress on stderr
   --help                 show this message
-Environment (between spec defaults and flags in precedence):
-  SB7_BENCH_SECONDS, SB7_BENCH_SCALE, SB7_BENCH_THREADS
 )";
 }
 
@@ -126,35 +124,33 @@ Options ParseArgs(int argc, char** argv) {
         return fail("--against requires a candidate BENCH_*.json path");
       }
     } else if (arg == "--threshold") {
-      if (!next(value) || !sb7::ParseDouble(value, options.threshold) ||
+      if (!next(value) || !sb7::ParseFinite(value, options.threshold) ||
           options.threshold <= 0 || options.threshold >= 1) {
         return fail("--threshold requires a number in (0,1)");
       }
     } else if (arg == "--seconds") {
-      if (!next(value) || !sb7::ParseDouble(value, options.seconds) ||
+      if (!next(value) || !sb7::ParseFinite(value, options.seconds) ||
           options.seconds <= 0) {
         return fail("--seconds requires a positive number");
       }
     } else if (arg == "--warmup") {
-      if (!next(value) || !sb7::ParseDouble(value, options.warmup) || options.warmup < 0) {
+      if (!next(value) || !sb7::ParseFinite(value, options.warmup) || options.warmup < 0) {
         return fail("--warmup requires a non-negative number");
       }
     } else if (arg == "--reps") {
-      int64_t reps = 0;
-      if (!next(value) || !sb7::ParseInt64(value, reps) || reps < 1) {
+      if (!next(value) || !sb7::ParseIntAtLeast(value, 1, options.reps)) {
         return fail("--reps requires a positive integer");
       }
-      options.reps = static_cast<int>(reps);
     } else if (arg == "--threads") {
       if (!next(value)) {
         return fail("--threads requires a comma-separated list");
       }
       for (const std::string& item : sb7::SplitCommaList(value)) {
-        int64_t t = 0;
-        if (!sb7::ParseInt64(item, t) || t < 1) {
+        int t = 0;
+        if (!sb7::ParseIntAtLeast(item, 1, t)) {
           return fail("invalid thread count: " + item);
         }
-        options.threads.push_back(static_cast<int>(t));
+        options.threads.push_back(t);
       }
       if (options.threads.empty()) {
         return fail("--threads requires at least one value");
@@ -169,7 +165,7 @@ Options ParseArgs(int argc, char** argv) {
       }
       options.seed_given = true;
     } else if (arg == "--serve-factor") {
-      if (!next(value) || !sb7::ParseDouble(value, options.serve_factor) ||
+      if (!next(value) || !sb7::ParseFinite(value, options.serve_factor) ||
           options.serve_factor <= 1) {
         return fail("--serve-factor requires a number > 1");
       }
@@ -212,18 +208,8 @@ Options ParseArgs(int argc, char** argv) {
   return options;
 }
 
-// Spec < environment < flag.
+// Flags override the spec.
 void ApplyOverrides(sb7::perf::SweepSpec& spec, const Options& options) {
-  const sb7::perf::BenchEnv env = sb7::perf::ReadBenchEnv();
-  if (env.seconds > 0) {
-    spec.seconds = env.seconds;
-  }
-  if (!env.scale.empty()) {
-    spec.scales = {env.scale};
-  }
-  if (!env.threads.empty()) {
-    spec.threads = env.threads;
-  }
   if (options.seconds > 0) {
     spec.seconds = options.seconds;
   }
@@ -247,7 +233,7 @@ void ApplyOverrides(sb7::perf::SweepSpec& spec, const Options& options) {
   }
 }
 
-// Validates that a file parses with the in-tree JSON parser (src/perf/json).
+// Validates that a file parses with the in-tree JSON parser (src/common/json.h).
 // Used by CI on the emitted --trace timelines: a malformed timeline would
 // otherwise only fail when a human loads it into Perfetto.
 int RunValidateJson(const std::string& path) {
@@ -258,7 +244,7 @@ int RunValidateJson(const std::string& path) {
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const sb7::perf::JsonParseResult parsed = sb7::perf::ParseJson(buffer.str());
+  const sb7::JsonParseResult parsed = sb7::ParseJson(buffer.str());
   if (!parsed.ok()) {
     std::cerr << "INVALID JSON in " << path << ": " << parsed.error << "\n";
     return 1;

@@ -5,7 +5,7 @@
 #include <ostream>
 #include <sstream>
 
-#include "src/perf/json.h"
+#include "src/common/json.h"
 #include "src/perf/report.h"
 
 namespace sb7::perf {

@@ -139,12 +139,6 @@ void WriteSweepJson(std::ostream& out, const SweepResult& result) {
           << ", \"tail_cv\": " << steady.tail_cv << ", \"warmup_s\": " << steady.warmup_s
           << ", \"warmup_covered\": " << (steady.warmup_covered ? "true" : "false") << "}";
     }
-    if (cell.has_hw) {
-      out << ",\n      \"hw\": {\"cycles\": " << cell.hw.cycles
-          << ", \"instructions\": " << cell.hw.instructions
-          << ", \"llc_misses\": " << cell.hw.llc_misses
-          << ", \"stalled_cycles\": " << cell.hw.stalled_cycles << "}";
-    }
     out << "\n    }";
   }
   out << "\n  ]\n";

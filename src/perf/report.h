@@ -33,6 +33,9 @@
 /// and, when perf_event counters opened, a per-cell "hw" block (deltas
 /// summed over the median repetition's measure phases):
 ///            {cycles, instructions, llc_misses, stalled_cycles}
+/// The "hw" block is no longer written: the hardware counters behind it
+/// were removed without a schema bump, since no committed artifact held
+/// one and readers always treated it as optional.
 /// Schema 4 adds the serve axis ("serves" in the axes block, "serve" and
 /// "p999_ms" — the median repetition's server-side all-ops latency p999,
 /// -1 when nothing completed — in every cell) and, for serve="wire" cells,

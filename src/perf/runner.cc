@@ -17,6 +17,7 @@
 #include "src/net/client.h"
 #include "src/net/server.h"
 #include "src/perf/stats.h"
+#include "src/telemetry/telemetry.h"
 
 namespace sb7::perf {
 namespace {
@@ -33,11 +34,9 @@ struct RepSample {
   bool has_stm = false;
   StmStats::View stm = {};
   CellConflicts conflicts;
-  // Live telemetry series of the repetition (whole run, warmup included)
-  // and the hw delta summed over the measure phases. Empty / unavailable
-  // when the sweep ran with telemetry off.
+  // Live telemetry series of the repetition (whole run, warmup included).
+  // Empty when the sweep ran with telemetry off.
   std::vector<telemetry::Sample> series;
-  telemetry::HwSample hw;
 
   double Throughput() const {
     return elapsed_seconds > 0 ? static_cast<double>(success) / elapsed_seconds : 0.0;
@@ -151,13 +150,6 @@ RepSample CollectRep(const SweepSpec& spec, const BenchmarkRunner& runner,
       latency_all.Merge(op.histogram);
     }
     sample.stm = StmStats::View::Add(sample.stm, phase.stm);
-    if (phase.hw.available) {
-      sample.hw.available = true;
-      sample.hw.cycles += phase.hw.cycles;
-      sample.hw.instructions += phase.hw.instructions;
-      sample.hw.llc_misses += phase.hw.llc_misses;
-      sample.hw.stalled_cycles += phase.hw.stalled_cycles;
-    }
     for (size_t q = 0; q < probe_indices.size(); ++q) {
       const int op = probe_indices[q];
       if (op < 0 || phase.per_op[op].success == 0) {
@@ -206,7 +198,7 @@ RepSample CollectRep(const SweepSpec& spec, const BenchmarkRunner& runner,
 bool RunWireRep(const SweepSpec& spec, const SweepCell& cell, BenchmarkRunner& runner,
                 const RunInstruments& instruments, bool validate, RepSample* sample,
                 std::string* error) {
-  net::OpServer server(net::ServerOptions{}, instruments.ingress,
+  net::OpServer server(/*port=*/0, instruments.ingress,
                        static_cast<uint16_t>(runner.registry().all().size()));
   std::string start_error;
   if (!server.Start(&start_error)) {
@@ -470,8 +462,6 @@ SweepRunOutcome RunSweep(const SweepSpec& spec, const SweepRunOptions& options) 
       }
       cell_result.steady =
           DetectSteadyState(t_s, ops_per_s, spec.cv_threshold, spec.warmup);
-      cell_result.has_hw = median_rep.hw.available;
-      cell_result.hw = median_rep.hw;
     }
     outcome.result.cells.push_back(cell_result);
 

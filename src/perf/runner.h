@@ -21,7 +21,6 @@
 #include "src/perf/stats.h"
 #include "src/perf/sweep.h"
 #include "src/stm/stm.h"
-#include "src/telemetry/series.h"
 #include "src/trace/conflict.h"
 
 namespace sb7::perf {
@@ -128,10 +127,6 @@ struct CellResult {
   /// repetition's throughput series (warmup-truncation quality).
   bool telemetry = false;
   SteadyState steady;
-  /// Hardware-counter delta summed over the median repetition's measure
-  /// phases (telemetry runs where perf_event opened only).
-  bool has_hw = false;
-  telemetry::HwSample hw;
 };
 
 struct SweepResult {
@@ -147,9 +142,8 @@ struct SweepRunOptions {
   /// costs a few percent and the sweep artifact is a perf trajectory.
   bool trace_cells = false;
   /// Run every cell with live telemetry (in-memory series, no endpoint, no
-  /// JSONL): feeds the steady-state detector and the hw-counter blocks of
-  /// the BENCH artifact. On by default; `sb7-bench --no-telemetry` turns it
-  /// off for overhead A/B runs.
+  /// JSONL): feeds the steady-state detector of the BENCH artifact. On by
+  /// default; `sb7-bench --no-telemetry` turns it off for overhead A/B runs.
   bool telemetry = true;
 };
 

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-
-#include "src/common/text.h"
 
 namespace sb7::perf {
 
@@ -103,34 +100,6 @@ SteadyState DetectSteadyState(const std::vector<double>& t_s,
     }
   }
   return result;
-}
-
-BenchEnv ReadBenchEnv() {
-  BenchEnv env;
-  if (const char* raw = std::getenv("SB7_BENCH_SECONDS")) {
-    double seconds = 0;
-    if (ParseDouble(raw, seconds) && seconds > 0) {
-      env.seconds = seconds;
-    }
-  }
-  if (const char* raw = std::getenv("SB7_BENCH_SCALE")) {
-    env.scale = raw;
-  }
-  if (const char* raw = std::getenv("SB7_BENCH_THREADS")) {
-    // Space- or comma-separated. All-or-nothing: one bad token discards the
-    // whole variable rather than silently running a truncated thread axis.
-    std::string text(raw);
-    std::replace(text.begin(), text.end(), ' ', ',');
-    for (const std::string& item : SplitCommaList(text)) {
-      int64_t value = 0;
-      if (!ParseInt64(item, value) || value < 1) {
-        env.threads.clear();
-        break;
-      }
-      env.threads.push_back(static_cast<int>(value));
-    }
-  }
-  return env;
 }
 
 }  // namespace sb7::perf

@@ -1,7 +1,6 @@
 /// \file
 /// Small numeric helpers for the benchmark orchestrator: median-of-N and
-/// min/max spread over repetition samples, plus the environment defaults
-/// (`SB7_BENCH_*`) that the legacy `bench/bench_util.h` binaries honoured.
+/// min/max spread over repetition samples, and the steady-state detector.
 /// Every sweep cell runs N repetitions; the report always carries the median
 /// together with the spread so a noisy host is visible in the artifact
 /// instead of silently polluting the trajectory.
@@ -9,7 +8,7 @@
 #ifndef STMBENCH7_SRC_PERF_STATS_H_
 #define STMBENCH7_SRC_PERF_STATS_H_
 
-#include <string>
+#include <cstddef>
 #include <vector>
 
 namespace sb7::perf {
@@ -35,22 +34,6 @@ double MaxOf(const std::vector<double>& samples);
 /// runner uses it to pick the "median repetition" whose STM counters are
 /// reported for the cell. Returns 0 for an empty vector.
 size_t MedianIndex(const std::vector<double>& samples);
-
-/// Environment defaults shared by `sb7-bench` runs, folded in from the
-/// deleted `bench/bench_util.h`:
-///   SB7_BENCH_SECONDS  per-cell measure window in seconds
-///   SB7_BENCH_SCALE    tiny | small | medium
-///   SB7_BENCH_THREADS  space- or comma-separated thread axis override
-/// Unset variables leave the corresponding field empty/zero; precedence is
-/// spec < environment < command-line flag.
-struct BenchEnv {
-  double seconds = 0.0;            ///< 0 = not set
-  std::string scale;               ///< empty = not set
-  std::vector<int> threads;        ///< empty = not set
-};
-
-/// Reads the `SB7_BENCH_*` environment knobs (invalid values are ignored).
-BenchEnv ReadBenchEnv();
 
 /// Steady-state verdict over a throughput time series (the live telemetry
 /// samples of one repetition). The run is declared steady at the first

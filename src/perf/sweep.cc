@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 
+#include "src/common/checked_parse.h"
 #include "src/common/text.h"
 #include "src/harness/workload.h"
 #include "src/ops/operation.h"
@@ -523,11 +524,11 @@ SweepParseResult ParseSweepSpec(std::istream& in, std::string_view default_name)
       }
       spec.threads.clear();
       for (const std::string& item : items) {
-        int64_t t = 0;
-        if (!ParseInt64(item, t) || t < 1) {
+        int t = 0;
+        if (!ParseIntAtLeast(item, 1, t)) {
           return fail("invalid thread count: " + item);
         }
-        spec.threads.push_back(static_cast<int>(t));
+        spec.threads.push_back(t);
       }
     } else if (key == "workloads") {
       if (!SplitList(value, spec.workloads)) {
@@ -566,29 +567,27 @@ SweepParseResult ParseSweepSpec(std::istream& in, std::string_view default_name)
         return fail("probes requires a comma-separated list");
       }
     } else if (key == "seconds") {
-      if (!ParseDouble(value, spec.seconds)) {
+      if (!ParseFinite(value, spec.seconds)) {
         return fail("invalid seconds value: " + value);
       }
     } else if (key == "warmup") {
-      if (!ParseDouble(value, spec.warmup)) {
+      if (!ParseFinite(value, spec.warmup)) {
         return fail("invalid warmup value: " + value);
       }
     } else if (key == "reps") {
-      int64_t reps = 0;
-      if (!ParseInt64(value, reps) || reps < 1) {
+      if (!ParseIntAtLeast(value, 1, spec.reps)) {
         return fail("reps requires a positive integer");
       }
-      spec.reps = static_cast<int>(reps);
     } else if (key == "seed") {
       if (!ParseUint64(value, spec.seed)) {
         return fail("invalid seed: " + value);
       }
     } else if (key == "threshold") {
-      if (!ParseDouble(value, spec.threshold)) {
+      if (!ParseFinite(value, spec.threshold)) {
         return fail("invalid threshold: " + value);
       }
     } else if (key == "cv_threshold") {
-      if (!ParseDouble(value, spec.cv_threshold)) {
+      if (!ParseFinite(value, spec.cv_threshold)) {
         return fail("invalid cv_threshold: " + value);
       }
     } else if (key == "max_ops") {

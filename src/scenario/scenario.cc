@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/common/checked_parse.h"
 #include "src/common/text.h"
 #include "src/harness/metrics.h"
 
@@ -323,7 +324,7 @@ ScenarioParseResult ParseScenarioSpec(std::istream& in, std::string_view default
     double float_value = 0.0;
     bool bool_value = false;
     if (key == "duration") {
-      if (!ParseDouble(value, float_value) || float_value <= 0.0) {
+      if (!ParseFinite(value, float_value) || float_value <= 0.0) {
         return fail(line_number, "duration must be a positive weight");
       }
       phase.duration_weight = float_value;
@@ -333,7 +334,7 @@ ScenarioParseResult ParseScenarioSpec(std::istream& in, std::string_view default
       }
       phase.read_fraction = ReadOnlyFraction(WorkloadTypeForName(value));
     } else if (key == "read_fraction") {
-      if (!ParseDouble(value, float_value) || float_value < 0.0 || float_value > 1.0) {
+      if (!ParseFinite(value, float_value) || float_value < 0.0 || float_value > 1.0) {
         return fail(line_number, "read_fraction must lie in [0,1]");
       }
       phase.read_fraction = float_value;
@@ -357,31 +358,31 @@ ScenarioParseResult ParseScenarioSpec(std::istream& in, std::string_view default
         }
       }
     } else if (key == "threads") {
-      if (!ParseInt64(value, int_value) || int_value < 1) {
+      int threads = 0;
+      if (!ParseIntAtLeast(value, 1, threads)) {
         return fail(line_number, "threads must be a positive integer");
       }
-      phase.threads = static_cast<int>(int_value);
+      phase.threads = threads;
     } else if (key == "arrival") {
       if (!ParseArrivalModel(value, &phase.arrival)) {
         return fail(line_number, "arrival must be closed, poisson or bursty");
       }
     } else if (key == "rate") {
-      if (!ParseDouble(value, float_value) || float_value <= 0.0) {
+      if (!ParseFinite(value, float_value) || float_value <= 0.0) {
         return fail(line_number, "rate must be positive");
       }
       phase.rate_ops_per_sec = float_value;
     } else if (key == "burst") {
-      if (!ParseInt64(value, int_value) || int_value < 1) {
+      if (!ParseIntAtLeast(value, 1, phase.burst_size)) {
         return fail(line_number, "burst must be a positive integer");
       }
-      phase.burst_size = static_cast<int>(int_value);
     } else if (key == "zipf") {
-      if (!ParseDouble(value, float_value) || float_value < 0.0 || float_value >= 1.0) {
+      if (!ParseFinite(value, float_value) || float_value < 0.0 || float_value >= 1.0) {
         return fail(line_number, "zipf must lie in [0,1)");
       }
       phase.zipf_theta = float_value;
     } else if (key == "hot_fraction") {
-      if (!ParseDouble(value, float_value) || float_value <= 0.0 || float_value > 1.0) {
+      if (!ParseFinite(value, float_value) || float_value <= 0.0 || float_value > 1.0) {
         return fail(line_number, "hot_fraction must lie in (0,1]");
       }
       phase.hot_fraction = float_value;

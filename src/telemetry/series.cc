@@ -6,19 +6,9 @@
 
 #include "src/common/diag.h"
 #include "src/common/json_string.h"
-#include "src/perf/json.h"
+#include "src/common/json.h"
 
 namespace sb7::telemetry {
-
-HwSample HwSample::Delta(const HwSample& end, const HwSample& begin) {
-  HwSample delta;
-  delta.available = end.available && begin.available;
-  delta.cycles = end.cycles - begin.cycles;
-  delta.instructions = end.instructions - begin.instructions;
-  delta.llc_misses = end.llc_misses - begin.llc_misses;
-  delta.stalled_cycles = end.stalled_cycles - begin.stalled_cycles;
-  return delta;
-}
 
 SeriesRing::SeriesRing(size_t capacity) : capacity_(capacity) {
   SB7_CHECK(capacity > 0);
@@ -77,12 +67,6 @@ std::string SampleToJson(const Sample& sample) {
     });
     out << "}";
   }
-  if (sample.hw.available) {
-    out << ", \"hw\": {\"cycles\": " << sample.hw.cycles
-        << ", \"instructions\": " << sample.hw.instructions
-        << ", \"llc_misses\": " << sample.hw.llc_misses
-        << ", \"stalled_cycles\": " << sample.hw.stalled_cycles << "}";
-  }
   out << ", \"trace_dropped\": " << sample.trace_dropped << "}";
   return out.str();
 }
@@ -95,9 +79,7 @@ void WriteTelemetryJsonl(std::ostream& out, const RunInfo& info,
          << ", \"kind\": \"header\", \"tool\": \"stmbench7\", \"backend\": "
          << JsonString(info.backend) << ", \"scenario\": " << JsonString(info.scenario)
          << ", \"scale\": " << JsonString(info.scale) << ", \"threads\": " << info.threads
-         << ", \"interval_s\": " << info.interval_s
-         << ", \"hw_available\": " << (info.hw_available ? "true" : "false")
-         << ", \"stats_fields\": [";
+         << ", \"interval_s\": " << info.interval_s << ", \"stats_fields\": [";
   bool first = true;
   StmStats::View{}.ForEachField([&header, &first](const char* name, int64_t) {
     header << (first ? "" : ", ") << "\"" << name << "\"";
@@ -136,15 +118,15 @@ std::string ValidateTelemetryJsonl(std::istream& in) {
     if (saw_footer) {
       return LineError(line_no, "content after the footer record");
     }
-    const perf::JsonParseResult parsed = perf::ParseJson(line);
+    const JsonParseResult parsed = ParseJson(line);
     if (!parsed.error.empty()) {
       return LineError(line_no, "invalid JSON: " + parsed.error);
     }
-    const perf::JsonValue& record = parsed.value;
+    const JsonValue& record = parsed.value;
     if (!record.is_object()) {
       return LineError(line_no, "record is not an object");
     }
-    const perf::JsonValue* kind = record.Find("kind");
+    const JsonValue* kind = record.Find("kind");
     if (kind == nullptr || !kind->is_string()) {
       return LineError(line_no, "missing \"kind\"");
     }
@@ -152,7 +134,7 @@ std::string ValidateTelemetryJsonl(std::istream& in) {
       if (kind->AsString() != "header") {
         return LineError(line_no, "first record must be the header");
       }
-      const perf::JsonValue* schema = record.Find("schema");
+      const JsonValue* schema = record.Find("schema");
       if (schema == nullptr || !schema->is_number()) {
         return LineError(line_no, "header lacks a numeric \"schema\"");
       }
@@ -161,18 +143,18 @@ std::string ValidateTelemetryJsonl(std::istream& in) {
         return LineError(line_no, "unsupported schema version " + std::to_string(version));
       }
       for (const char* key : {"backend", "scenario", "scale"}) {
-        const perf::JsonValue* value = record.Find(key);
+        const JsonValue* value = record.Find(key);
         if (value == nullptr || !value->is_string()) {
           return LineError(line_no, std::string("header lacks string \"") + key + "\"");
         }
       }
       for (const char* key : {"threads", "interval_s"}) {
-        const perf::JsonValue* value = record.Find(key);
+        const JsonValue* value = record.Find(key);
         if (value == nullptr || !value->is_number()) {
           return LineError(line_no, std::string("header lacks numeric \"") + key + "\"");
         }
       }
-      const perf::JsonValue* fields = record.Find("stats_fields");
+      const JsonValue* fields = record.Find("stats_fields");
       if (fields == nullptr || !fields->is_array()) {
         return LineError(line_no, "header lacks the \"stats_fields\" array");
       }
@@ -180,7 +162,7 @@ std::string ValidateTelemetryJsonl(std::istream& in) {
       continue;
     }
     if (kind->AsString() == "footer") {
-      const perf::JsonValue* count = record.Find("samples");
+      const JsonValue* count = record.Find("samples");
       if (count == nullptr || !count->is_number()) {
         return LineError(line_no, "footer lacks a numeric \"samples\"");
       }
@@ -189,7 +171,7 @@ std::string ValidateTelemetryJsonl(std::istream& in) {
                                       std::to_string(static_cast<int64_t>(count->AsNumber())) +
                                       " != " + std::to_string(samples) + " sample records");
       }
-      if (const perf::JsonValue* drops = record.Find("samples_dropped");
+      if (const JsonValue* drops = record.Find("samples_dropped");
           drops == nullptr || !drops->is_number()) {
         return LineError(line_no, "footer lacks a numeric \"samples_dropped\"");
       }
@@ -201,17 +183,17 @@ std::string ValidateTelemetryJsonl(std::istream& in) {
     }
     for (const char* key : {"seq", "t_s", "interval_s", "phase_index", "started",
                             "completed", "failed", "ops_per_s", "trace_dropped"}) {
-      const perf::JsonValue* value = record.Find(key);
+      const JsonValue* value = record.Find(key);
       if (value == nullptr || !value->is_number()) {
         return LineError(line_no, std::string("sample lacks numeric \"") + key + "\"");
       }
     }
-    const perf::JsonValue* latency = record.Find("latency_ms");
+    const JsonValue* latency = record.Find("latency_ms");
     if (latency == nullptr || !latency->is_object()) {
       return LineError(line_no, "sample lacks the \"latency_ms\" object");
     }
     for (const char* key : {"count", "p50", "p90", "p99", "p999", "max"}) {
-      const perf::JsonValue* value = latency->Find(key);
+      const JsonValue* value = latency->Find(key);
       if (value == nullptr || !value->is_number()) {
         return LineError(line_no, std::string("latency_ms lacks numeric \"") + key + "\"");
       }

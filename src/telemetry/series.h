@@ -4,9 +4,9 @@
 //
 // JSONL layout (schema kTelemetrySchemaVersion, pinned by
 // tools/lint/schema.lock rule R4 and tests/telemetry_test.cc):
-//   line 1   {"schema": 1, "kind": "header", "tool": "stmbench7",
+//   line 1   {"schema": 2, "kind": "header", "tool": "stmbench7",
 //             "backend": ..., "scenario": ..., "scale": ..., "threads": N,
-//             "interval_s": ..., "hw_available": bool,
+//             "interval_s": ...,
 //             "stats_fields": [ ... X-macro counter names ... ]}
 //   line 2.. {"kind": "sample", "seq": N, "t_s": ..., "interval_s": ...,
 //             "phase_index": N, "phase": ..., "started": N, "completed": N,
@@ -14,8 +14,6 @@
 //             "latency_ms": {"count": N, "p50": ..., "p90": ..., "p99": ...,
 //                            "p999": ..., "max": ...},
 //             optional "stm": {counter: value, ...}  (cumulative),
-//             optional "hw": {"cycles": N, "instructions": N,
-//                             "llc_misses": N, "stalled_cycles": N},
 //             "trace_dropped": N}
 //   last     {"kind": "footer", "samples": N, "samples_dropped": N}
 // Counters are cumulative since run start; ops_per_s and latency_ms are the
@@ -23,6 +21,9 @@
 // seconds since sampler start (never wall clock — wall time would make
 // intervals skew under NTP slew; consumers needing absolute time stamp the
 // file themselves).
+// Schema 1 headers also carried a hardware-counter availability flag, and
+// its samples an optional hardware-counter block; schema 2 drops both. The
+// validator reads either.
 
 #ifndef STMBENCH7_SRC_TELEMETRY_SERIES_H_
 #define STMBENCH7_SRC_TELEMETRY_SERIES_H_
@@ -40,21 +41,7 @@ namespace sb7::telemetry {
 // The telemetry JSONL schema version this build writes; readers (the
 // in-tree validator) accept [1, current]. Bumps are guarded by sb7-lint R4
 // against tools/lint/schema.lock.
-constexpr int kTelemetrySchemaVersion = 1;
-
-// One hardware-counter reading (cumulative since HwCounters::Start).
-// available=false zeroes carry no information — the graceful-degradation
-// path when perf_event_open is unavailable or unprivileged.
-struct HwSample {
-  bool available = false;
-  int64_t cycles = 0;
-  int64_t instructions = 0;
-  int64_t llc_misses = 0;
-  int64_t stalled_cycles = 0;
-
-  // end - begin, field-wise; available only when both ends were.
-  static HwSample Delta(const HwSample& end, const HwSample& begin);
-};
+constexpr int kTelemetrySchemaVersion = 2;
 
 // One sampler tick. Counter fields are cumulative; ops_per_s / latency are
 // the window since the previous tick.
@@ -85,7 +72,6 @@ struct Sample {
   StmStats::View stm = {};
 
   int64_t trace_dropped = 0;
-  HwSample hw;
 };
 
 // Bounded FIFO of samples; Push drops the oldest once full and counts the
@@ -117,7 +103,6 @@ struct RunInfo {
   std::string scale;
   int threads = 0;
   double interval_s = 0.0;
-  bool hw_available = false;
 };
 
 // One sample as a single-line JSON object (shared by the JSONL writer and

@@ -8,9 +8,15 @@
 #include "src/ebr/ebr.h"
 
 namespace sb7::telemetry {
+namespace {
 
-Telemetry::Telemetry(TelemetryOptions options)
-    : options_(options), ring_(options.series_capacity) {
+// Samples the series ring keeps before it drops the oldest: over an hour of
+// the default one-second interval.
+constexpr size_t kSeriesCapacity = 4096;
+
+}  // namespace
+
+Telemetry::Telemetry(TelemetryOptions options) : options_(options), ring_(kSeriesCapacity) {
   RegisterBuiltinMetrics();
 }
 
@@ -58,17 +64,6 @@ void Telemetry::SetTraceDroppedSource(std::function<int64_t()> source) {
                                                             trace_dropped_source_())
                                                       : 0.0;
                        });
-}
-
-void Telemetry::StartHw() {
-  if (!options_.hw_counters) {
-    hw_detail_ = "disabled by configuration";
-    return;
-  }
-  std::string detail;
-  if (!hw_.Start(&detail)) {
-    hw_detail_ = detail;
-  }
 }
 
 bool Telemetry::StartServer(std::string* error) {
@@ -137,7 +132,6 @@ void Telemetry::Stop() {
     started_ = false;
   }
   server_.Stop();
-  hw_.Stop();
 }
 
 void Telemetry::SampleNow() {
@@ -180,7 +174,6 @@ void Telemetry::SampleNow() {
   if (trace_dropped_source_) {
     sample.trace_dropped = trace_dropped_source_();
   }
-  sample.hw = hw_.Read();
 
   prev_t_s_ = sample.t_s;
   prev_completed_ = sample.completed;
@@ -228,20 +221,6 @@ void Telemetry::RegisterBuiltinMetrics() {
                    MetricKind::kGauge,
                    static_cast<double>(snapshot.max_nanos()) / 1e6});
   });
-  registry_.AddProvider([this](std::vector<MetricPoint>& out) {
-    const HwSample hw = hw_.Read();
-    if (!hw.available) {
-      return;
-    }
-    out.push_back({"sb7_hw_cycles_total", "", "CPU cycles (user, all worker threads)",
-                   MetricKind::kCounter, static_cast<double>(hw.cycles)});
-    out.push_back({"sb7_hw_instructions_total", "", "Retired instructions",
-                   MetricKind::kCounter, static_cast<double>(hw.instructions)});
-    out.push_back({"sb7_hw_llc_misses_total", "", "Last-level cache misses",
-                   MetricKind::kCounter, static_cast<double>(hw.llc_misses)});
-    out.push_back({"sb7_hw_stalled_cycles_total", "", "Backend-stalled cycles",
-                   MetricKind::kCounter, static_cast<double>(hw.stalled_cycles)});
-  });
   registry_.AddGauge("sb7_telemetry_samples", "Samples currently in the series ring",
                      [this]() { return static_cast<double>(ring_.size()); });
   registry_.AddCounter("sb7_telemetry_samples_dropped_total",
@@ -258,9 +237,7 @@ void Telemetry::RegisterBuiltinMetrics() {
 }
 
 void Telemetry::WriteJsonl(std::ostream& out) const {
-  RunInfo info = run_info_;
-  info.hw_available = hw_.available();
-  WriteTelemetryJsonl(out, info, ring_.Snapshot(), ring_.dropped());
+  WriteTelemetryJsonl(out, run_info_, ring_.Snapshot(), ring_.dropped());
 }
 
 std::string Telemetry::RenderSeriesJson() const {

@@ -1,6 +1,6 @@
 // Telemetry facade: owns the metrics registry, the lock-free latency
-// histogram the workers record into, the background sampler thread, the
-// hardware counters and the optional HTTP exposition endpoint.
+// histogram the workers record into, the background sampler thread and the
+// optional HTTP exposition endpoint.
 //
 // Cost discipline: when the driver runs without telemetry the only residue
 // in the hot path is one null pointer check (verified by the CI sampler-off
@@ -23,7 +23,6 @@
 
 #include "src/common/histogram.h"
 #include "src/telemetry/http.h"
-#include "src/telemetry/hwcounters.h"
 #include "src/telemetry/registry.h"
 #include "src/telemetry/series.h"
 
@@ -57,8 +56,6 @@ class ManualClock : public Clock {
 
 struct TelemetryOptions {
   double interval_seconds = 1.0;
-  size_t series_capacity = 4096;
-  bool hw_counters = true;
   int metrics_port = -1;  // -1 = no endpoint; 0 = ephemeral (see server_port)
   // false: no sampler thread; the owner drives SampleNow() — used by tests
   // (with a ManualClock) and anywhere wall-clock pacing is unwanted.
@@ -90,9 +87,6 @@ class Telemetry {
   void SetPhase(int index, const std::string& name);
   void SetStmSource(std::function<StmStats::View()> source);
   void SetTraceDroppedSource(std::function<int64_t()> source);
-  // Opens the hardware counters; call before the worker threads are spawned
-  // (perf_event inherit semantics). No-op when options.hw_counters is off.
-  void StartHw();
   // Binds and serves /metrics + /series; no-op unless options.metrics_port
   // was >= 0. Returns false with `error` set on bind failure.
   bool StartServer(std::string* error);
@@ -109,9 +103,6 @@ class Telemetry {
   const RunInfo& run_info() const { return run_info_; }
   int server_port() const { return server_.port(); }
   bool server_running() const { return server_.running(); }
-  bool hw_available() const { return hw_.available(); }
-  const std::string& hw_detail() const { return hw_detail_; }
-  HwSample HwNow() const { return hw_.Read(); }
   std::vector<Sample> SeriesSnapshot() const { return ring_.Snapshot(); }
   int64_t SamplesDropped() const { return ring_.dropped(); }
   // mo: relaxed — monotonic tally; used by tests and the JSONL writer.
@@ -129,8 +120,6 @@ class Telemetry {
   MetricsRegistry registry_;
   ConcurrentTtcHistogram latency_;
   SeriesRing ring_;
-  HwCounters hw_;
-  std::string hw_detail_;
   MetricsHttpServer server_;
   RunInfo run_info_;
 

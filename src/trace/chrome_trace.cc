@@ -145,14 +145,6 @@ void WriteChromeTrace(std::ostream& out, const std::vector<Tracer::ThreadStream>
                       "\"args\": {\"attempt\": " +
                       std::to_string(event.arg) + "}");
           break;
-        case EventKind::kRead:
-        case EventKind::kWrite:
-          writer.Emit("\"ph\": \"i\", \"pid\": 1, \"tid\": " + tid +
-                      ", \"ts\": " + MicrosString(event.nanos - t0) +
-                      ", \"s\": \"t\", \"name\": \"" +
-                      (event.kind == EventKind::kRead ? "read" : "write") +
-                      "\", \"cat\": \"access\", \"args\": {}");
-          break;
       }
     }
   }

@@ -28,33 +28,11 @@ namespace sb7::trace {
 /// seam reports.
 enum class EventKind : uint8_t {
   kBegin = 0,   // attempt started            (arg = retry index, 0 = first)
-  kRead,        // transactional read         (arg = 0; optional, off by default)
-  kWrite,       // transactional write        (arg = 0; optional, off by default)
   kValidation,  // backend validation pass    (arg = read-set entries checked)
   kBackoff,     // backoff before a retry     (arg = attempt index >= 1)
   kAbort,       // attempt aborted            (arg = retry index; cause set)
   kCommit,      // attempt committed          (arg = retry index)
 };
-
-constexpr const char* EventKindName(EventKind kind) {
-  switch (kind) {
-    case EventKind::kBegin:
-      return "begin";
-    case EventKind::kRead:
-      return "read";
-    case EventKind::kWrite:
-      return "write";
-    case EventKind::kValidation:
-      return "validation";
-    case EventKind::kBackoff:
-      return "backoff";
-    case EventKind::kAbort:
-      return "abort";
-    case EventKind::kCommit:
-      return "commit";
-  }
-  return "?";
-}
 
 /// One sampled lifecycle event: 16 bytes, trivially copyable.
 struct TraceEvent {

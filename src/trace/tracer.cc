@@ -45,9 +45,7 @@ Tracer::~Tracer() {
 
 void Tracer::Install() {
   SB7_CHECK(!installed_);
-  if (options_.timing) {
-    SetTxTimingEnabled(true);
-  }
+  SetTxTimingEnabled(true);
   SB7_CHECK(InstallTxObserver(this));
   installed_ = true;
 }
@@ -55,9 +53,7 @@ void Tracer::Install() {
 void Tracer::Uninstall() {
   SB7_CHECK(installed_);
   SB7_CHECK(RemoveTxObserver(this));
-  if (options_.timing) {
-    SetTxTimingEnabled(false);
-  }
+  SetTxTimingEnabled(false);
   installed_ = false;
 }
 
@@ -115,28 +111,9 @@ void Tracer::OnTxAbort(const TxAbortInfo& info) noexcept {
   ++state.retries;
 }
 
-void Tracer::OnTxRead(const TxFieldBase& field, uint64_t /*word*/) noexcept {
-  if (!options_.record_accesses) {
-    return;
-  }
-  ThreadState& state = LocalState();
-  if (state.sampled) {
-    (void)field;
-    PushEvent(state, EventKind::kRead, 0);
-  }
-}
-
 void Tracer::OnTxWrite(const TxFieldBase& field, uint64_t /*word*/) noexcept {
-  // Last-writer tracking is what abort attribution pairs victims against;
-  // it stays on regardless of the access-event knob.
+  // Last-writer tracking is what abort attribution pairs victims against.
   conflicts_.RecordWrite(KeyOf(field), TxOpContext());
-  if (!options_.record_accesses) {
-    return;
-  }
-  ThreadState& state = LocalState();
-  if (state.sampled) {
-    PushEvent(state, EventKind::kWrite, 0);
-  }
 }
 
 void Tracer::OnTxValidation(size_t steps) noexcept {

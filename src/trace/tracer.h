@@ -3,9 +3,8 @@
 /// instruments at once —
 ///
 ///   1. per-thread event rings of sampled transaction lifecycle events
-///      (begin / validation / backoff / abort / commit, optionally raw
-///      reads/writes), timestamped with the monotonic clock and tagged with
-///      the executing operation;
+///      (begin / validation / backoff / abort / commit), timestamped with
+///      the monotonic clock and tagged with the executing operation;
 ///   2. the conflict table (src/trace/conflict.h): every transactional
 ///      write updates a last-writer entry, every attributed abort lands in
 ///      a bucket and the (victim op × writer op) pair matrix;
@@ -40,14 +39,6 @@ struct TraceOptions {
   /// Sampling is per transaction, not per attempt: a sampled transaction
   /// keeps all its retries, so abort chains stay intact in the timeline.
   uint32_t sample_period = 1;
-  /// Also emit one ring event per transactional read/write of sampled
-  /// transactions. Off by default: a single long traversal performs ~10^5
-  /// reads and would flood the rings. Conflict-table last-writer updates do
-  /// not depend on this.
-  bool record_accesses = false;
-  /// Enable the per-attempt latency decomposition (adds clock reads to the
-  /// retry loop while the tracer is installed).
-  bool timing = true;
 };
 
 /// Per-op latency decomposition, merged across threads. Slot convention as
@@ -68,8 +59,9 @@ class Tracer : public TxObserver {
   ~Tracer() override;
 
   /// Install/Uninstall only while no transactions are in flight (observer
-  /// registry contract). Install flips the global timing flag when
-  /// options.timing is set.
+  /// registry contract). Install turns the global timing flag on for the
+  /// per-attempt latency decomposition (clock reads in the retry loop);
+  /// Uninstall turns it off.
   void Install();
   void Uninstall();
   bool installed() const { return installed_; }
@@ -107,7 +99,6 @@ class Tracer : public TxObserver {
   void OnTxBegin(bool read_only) noexcept override;
   void OnTxCommit() noexcept override;
   void OnTxAbort(const TxAbortInfo& info) noexcept override;
-  void OnTxRead(const TxFieldBase& field, uint64_t word) noexcept override;
   void OnTxWrite(const TxFieldBase& field, uint64_t word) noexcept override;
   void OnTxValidation(size_t steps) noexcept override;
   void OnTxBackoff(int attempt) noexcept override;

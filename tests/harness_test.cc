@@ -262,6 +262,53 @@ TEST(CliTest, SeedsRoundTripTheFullUint64Range) {
   EXPECT_TRUE(Parse({"--seed", "99999999999999999999999"}).error.has_value());
 }
 
+// Each rejected flag keeps its "<flag> requires ..." message.
+void ExpectRejected(std::initializer_list<const char*> args, const std::string& message) {
+  const CliResult result = Parse(args);
+  ASSERT_TRUE(result.error.has_value()) << message;
+  EXPECT_NE(result.error->find(message), std::string::npos) << *result.error;
+}
+
+TEST(CliTest, RejectsCountsThatDoNotFitTheirField) {
+  // 2^32 used to be narrowed to 0 (and 2^32 + 1 to 1) after the range check.
+  ExpectRejected({"-t", "4294967296"}, "-t requires");
+  ExpectRejected({"-t", "2147483648"}, "-t requires");
+  ExpectRejected({"--trace", "t.json", "--trace-sample", "4294967296"},
+                 "--trace-sample requires");
+  ExpectRejected({"--fuzz", "1", "--fuzz-case", "4294967296"}, "--fuzz-case requires");
+  ExpectRejected({"--fuzz", "1", "--fuzz-cases", "4294967296"}, "--fuzz-cases requires");
+  ExpectRejected({"--fuzz", "1", "--fuzz-case", "0", "--fuzz-threads", "4294967297"},
+                 "--fuzz-threads requires");
+  ExpectRejected({"--connect", "127.0.0.1:9287", "--burst", "4294967296"},
+                 "--burst requires");
+
+  // The largest value each field holds still parses.
+  const CliResult threads = Parse({"-t", "2147483647"});
+  ASSERT_FALSE(threads.error.has_value()) << *threads.error;
+  EXPECT_EQ(threads.config.threads, 2147483647);
+  const CliResult sample = Parse({"--trace", "t.json", "--trace-sample", "4294967295"});
+  ASSERT_FALSE(sample.error.has_value()) << *sample.error;
+  EXPECT_EQ(sample.trace.sample_period, 4294967295u);
+}
+
+TEST(CliTest, RejectsNumbersThatAreNotFinite) {
+  for (const char* bad : {"nan", "inf", "-inf", "NAN", "infinity"}) {
+    ExpectRejected({"-l", bad}, "-l requires");
+    ExpectRejected({"--read-ratio", bad}, "--read-ratio requires");
+    ExpectRejected({"--read-fraction", bad}, "--read-fraction requires");
+    ExpectRejected({"--telemetry", "t.jsonl", "--telemetry-interval", bad},
+                   "--telemetry-interval requires");
+    ExpectRejected({"--connect", "127.0.0.1:9287", "--rate", bad}, "--rate requires");
+    ExpectRejected({"--fuzz", "1", "--fuzz-budget", bad}, "--fuzz-budget requires");
+  }
+}
+
+TEST(CliTest, HardwareCounterFlagIsGone) {
+  ExpectRejected({"--telemetry", "t.jsonl", "--no-hw-counters"},
+                 "unknown argument: --no-hw-counters");
+  EXPECT_EQ(UsageText().find("hw-counters"), std::string::npos);
+}
+
 TEST(CliTest, HelpShortCircuits) {
   EXPECT_TRUE(Parse({"--help"}).show_help);
   EXPECT_FALSE(Parse({"--help"}).error.has_value());

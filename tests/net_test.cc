@@ -47,7 +47,6 @@ using net::MsgType;
 using net::OpRequest;
 using net::OpResponse;
 using net::OpServer;
-using net::ServerOptions;
 using net::Status;
 using net::TryExtractFrame;
 
@@ -378,7 +377,7 @@ net::ConnectResult HandshakeClient(int port, HelloAck* ack) {
 
 TEST(OpServerTest, HandshakesRejectsWhenFullAndBouncesBadIndexes) {
   IngressQueue queue(1);  // capacity 1: the second in-flight request is rejected
-  OpServer server(ServerOptions{}, &queue, /*op_count=*/10);
+  OpServer server(/*port=*/0, &queue, /*op_count=*/10);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   ASSERT_GT(server.port(), 0);
@@ -437,7 +436,7 @@ TEST(OpServerTest, HandshakesRejectsWhenFullAndBouncesBadIndexes) {
 
 TEST(OpServerTest, DropsSessionsThatSendOversizeFrames) {
   IngressQueue queue(8);
-  OpServer server(ServerOptions{}, &queue, /*op_count=*/10);
+  OpServer server(/*port=*/0, &queue, /*op_count=*/10);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -473,7 +472,7 @@ TEST(OpServerTest, DropsSessionsThatSendOversizeFrames) {
 
 TEST(OpServerTest, CountsAnOrderlyCloseAsClosedNotDropped) {
   IngressQueue queue(8);
-  OpServer server(ServerOptions{}, &queue, /*op_count=*/10);
+  OpServer server(/*port=*/0, &queue, /*op_count=*/10);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -509,7 +508,7 @@ TEST(NetEndToEndTest, LoopbackServeRunLosesNothing) {
   instruments.ingress = &ingress;
 
   BenchmarkRunner runner(config, instruments);
-  OpServer server(ServerOptions{}, &ingress,
+  OpServer server(/*port=*/0, &ingress,
                   static_cast<uint16_t>(runner.registry().all().size()));
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;

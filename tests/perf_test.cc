@@ -1,5 +1,5 @@
 // Tests for the benchmark-orchestration subsystem (src/perf/):
-//  - the numeric helpers and the SB7_BENCH_* environment knobs,
+//  - the numeric helpers and the steady-state detector,
 //  - the minimal JSON parser that --compare relies on,
 //  - the sweep-spec parser and its validation errors,
 //  - the bench/specs/ files staying pinned to the built-in sweeps,
@@ -16,8 +16,8 @@
 #include <set>
 #include <sstream>
 
+#include "src/common/json.h"
 #include "src/perf/compare.h"
-#include "src/perf/json.h"
 #include "src/perf/report.h"
 #include "src/perf/runner.h"
 #include "src/perf/stats.h"
@@ -94,29 +94,6 @@ TEST(PerfStatsTest, SteadyStateDetectorHandlesDegenerateSeries) {
   // All-zero throughput (mean ~0) must not divide by zero or detect.
   EXPECT_FALSE(DetectSteadyState({0.1, 0.2, 0.3, 0.4, 0.5}, {0, 0, 0, 0, 0}, 0.5, 0.0, 5)
                    .detected);
-}
-
-TEST(PerfStatsTest, BenchEnvParsesThreadLists) {
-  setenv("SB7_BENCH_THREADS", "1, 2 4", /*overwrite=*/1);
-  setenv("SB7_BENCH_SECONDS", "2.5", 1);
-  setenv("SB7_BENCH_SCALE", "tiny", 1);
-  const BenchEnv env = ReadBenchEnv();
-  unsetenv("SB7_BENCH_THREADS");
-  unsetenv("SB7_BENCH_SECONDS");
-  unsetenv("SB7_BENCH_SCALE");
-  EXPECT_EQ(env.threads, (std::vector<int>{1, 2, 4}));
-  EXPECT_DOUBLE_EQ(env.seconds, 2.5);
-  EXPECT_EQ(env.scale, "tiny");
-
-  // A bad token discards the whole variable (no silently truncated axis),
-  // and malformed seconds are rejected whole-string, not atof-prefixed.
-  setenv("SB7_BENCH_THREADS", "4,abc,8", 1);
-  setenv("SB7_BENCH_SECONDS", "2..5", 1);
-  const BenchEnv bad = ReadBenchEnv();
-  unsetenv("SB7_BENCH_THREADS");
-  unsetenv("SB7_BENCH_SECONDS");
-  EXPECT_TRUE(bad.threads.empty());
-  EXPECT_DOUBLE_EQ(bad.seconds, 0.0);
 }
 
 // ----------------------------------------------------------------- json --
@@ -394,9 +371,8 @@ TEST(BenchJsonGoldenTest, PerCellStatsKeySetIsPinned) {
   ASSERT_EQ(cells->Items().size(), 2u);
 
   // Schema 3: cells of a telemetry-on sweep (the default) always carry the
-  // steady_state block; the hw block appears only where perf_event opened,
-  // so the pin tolerates either (CI containers often lack perf_event).
-  // Schema 4 added "serve" and "p999_ms", schema 5 "durability", to every cell.
+  // steady_state block. Schema 4 added "serve" and "p999_ms", schema 5
+  // "durability", to every cell.
   std::set<std::string> base_keys = {
       "key",  "backend", "threads", "workload", "scenario",         "scale",
       "index", "cm",     "mix",     "serve",    "durability", "reps",
@@ -406,16 +382,9 @@ TEST(BenchJsonGoldenTest, PerCellStatsKeySetIsPinned) {
   const JsonValue& coarse = cells->Items()[0];
   const JsonValue& tl2 = cells->Items()[1];
   EXPECT_EQ(coarse.Find("backend")->AsString(), "coarse");
-  std::set<std::string> coarse_keys = base_keys;
-  if (coarse.Find("hw") != nullptr) {
-    coarse_keys.insert("hw");
-  }
-  EXPECT_EQ(KeysOf(coarse), coarse_keys) << "lock-strategy cells carry no stm block";
+  EXPECT_EQ(KeysOf(coarse), base_keys) << "lock-strategy cells carry no stm block";
   std::set<std::string> stm_keys = base_keys;
   stm_keys.insert("stm");
-  if (tl2.Find("hw") != nullptr) {
-    stm_keys.insert("hw");
-  }
   EXPECT_EQ(KeysOf(tl2), stm_keys) << "STM cells append the stm counter block";
 
   // The steady_state block's key set is pinned with the rest of the schema.
@@ -424,10 +393,6 @@ TEST(BenchJsonGoldenTest, PerCellStatsKeySetIsPinned) {
   EXPECT_EQ(KeysOf(*steady),
             (std::set<std::string>{"samples", "detected", "steady_at_s", "tail_cv",
                                    "warmup_s", "warmup_covered"}));
-  if (const JsonValue* hw = coarse.Find("hw")) {
-    EXPECT_EQ(KeysOf(*hw), (std::set<std::string>{"cycles", "instructions", "llc_misses",
-                                                  "stalled_cycles"}));
-  }
 
   // The cell key round-trips through the runner's canonical format.
   EXPECT_EQ(coarse.Find("key")->AsString(),

@@ -831,7 +831,7 @@ TEST(CrashRecoveryTest, ServeKilledMidStormNeverAcksUndurableRequests) {
     BenchmarkRunner runner(config, instruments);
     const std::unique_ptr<DurableLog> log = OpenLog(runner, GroupLog(path));
     if (log == nullptr) std::_Exit(3);
-    net::OpServer server(net::ServerOptions{}, &ingress,
+    net::OpServer server(/*port=*/0, &ingress,
                          static_cast<uint16_t>(runner.registry().all().size()));
     std::string error;
     if (!server.Start(&error)) std::_Exit(3);

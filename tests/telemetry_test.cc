@@ -6,11 +6,11 @@
 //  - sampler determinism under the paused ManualClock seam (background off,
 //    exact t_s / ops_per_s / seq),
 //  - SeriesRing drop-oldest accounting,
-//  - the JSONL artifact round-tripping through its own validator, and the
-//    validator rejecting corrupted streams,
+//  - the JSONL artifact round-tripping through its own validator, its
+//    header's exact key set, the validator reading schema-1 headers and
+//    rejecting corrupted streams,
 //  - the HTTP exposition endpoint on an ephemeral port (/metrics text,
 //    /series JSON, 404),
-//  - hardware-counter graceful degradation,
 //  - an end-to-end driver run with telemetry enabled.
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -30,14 +29,13 @@
 #include <vector>
 
 #include "src/common/histogram.h"
+#include "src/common/json.h"
 #include "src/harness/driver.h"
-#include "src/perf/json.h"
 #include "src/telemetry/telemetry.h"
 
 namespace sb7 {
 namespace {
 
-using telemetry::HwSample;
 using telemetry::ManualClock;
 using telemetry::MetricsHttpServer;
 using telemetry::MetricsRegistry;
@@ -237,12 +235,11 @@ TEST(SeriesRingTest, DropsOldestWhenFullAndCountsDrops) {
 
 // ------------------------------------------------------ sampler determinism --
 
-// Builds a facade in manual mode: no sampler thread, no hardware counters,
-// time advanced only by the test.
+// Builds a facade in manual mode: no sampler thread, time advanced only by
+// the test.
 std::unique_ptr<Telemetry> ManualTelemetry(ManualClock* clock) {
   TelemetryOptions options;
   options.background = false;
-  options.hw_counters = false;
   options.clock = clock;
   options.interval_seconds = 1.0;
   return std::make_unique<Telemetry>(options);
@@ -347,9 +344,9 @@ TEST(TelemetryJsonlTest, WriteValidateRoundTrip) {
   std::string line;
   std::vector<std::string> kinds;
   while (std::getline(lines, line)) {
-    const perf::JsonParseResult parsed = perf::ParseJson(line);
+    const JsonParseResult parsed = ParseJson(line);
     ASSERT_TRUE(parsed.ok()) << parsed.error << " in: " << line;
-    const perf::JsonValue* kind = parsed.value.Find("kind");
+    const JsonValue* kind = parsed.value.Find("kind");
     if (kind != nullptr) {
       kinds.push_back(kind->AsString());
     } else {
@@ -364,23 +361,29 @@ TEST(TelemetryJsonlTest, WriteValidateRoundTrip) {
   for (size_t i = 1; i + 1 < kinds.size(); ++i) EXPECT_EQ(kinds[i], "sample");
 }
 
-TEST(TelemetryJsonlTest, ValidatorRejectsCorruptedStreams) {
+// A stream written by the facade, with `ticks` one-second samples.
+std::string WrittenJsonl(int ticks) {
   ManualClock clock;
   auto telemetry = ManualTelemetry(&clock);
   RunInfo info;
-  info.backend = "coarse";
+  info.backend = "tl2";
+  info.scenario = "-";
   info.scale = "tiny";
-  info.threads = 1;
+  info.threads = 2;
   telemetry->SetRunInfo(info);
   telemetry->Start();
-  for (int tick = 0; tick < 2; ++tick) {
+  for (int tick = 0; tick < ticks; ++tick) {
     telemetry->RecordOp(true, kMs);
     clock.AdvanceSeconds(1.0);
     telemetry->SampleNow();
   }
   std::ostringstream out;
   telemetry->WriteJsonl(out);
-  const std::string good = out.str();
+  return out.str();
+}
+
+TEST(TelemetryJsonlTest, ValidatorRejectsCorruptedStreams) {
+  const std::string good = WrittenJsonl(2);
 
   {  // empty stream
     std::istringstream in("");
@@ -406,12 +409,44 @@ TEST(TelemetryJsonlTest, ValidatorRejectsCorruptedStreams) {
   }
   {  // future schema version
     std::string future = good;
-    const size_t pos = future.find("\"schema\": 1");
+    const std::string current =
+        "\"schema\": " + std::to_string(telemetry::kTelemetrySchemaVersion);
+    const size_t pos = future.find(current);
     ASSERT_NE(pos, std::string::npos);
-    future.replace(pos, std::strlen("\"schema\": 1"), "\"schema\": 99");
+    future.replace(pos, current.size(), "\"schema\": 99");
     std::istringstream in(future);
     EXPECT_NE(telemetry::ValidateTelemetryJsonl(in), "");
   }
+}
+
+TEST(TelemetryJsonlTest, HeaderKeySetIsPinned) {
+  const std::string jsonl = WrittenJsonl(1);
+  const JsonParseResult header = ParseJson(jsonl.substr(0, jsonl.find('\n')));
+  ASSERT_TRUE(header.ok()) << header.error;
+  std::set<std::string> keys;
+  for (const auto& member : header.value.Members()) {
+    keys.insert(member.first);
+  }
+  EXPECT_EQ(keys, (std::set<std::string>{"schema", "kind", "tool", "backend", "scenario",
+                                         "scale", "threads", "interval_s", "stats_fields"}));
+  EXPECT_EQ(header.value.Find("schema")->AsNumber(), telemetry::kTelemetrySchemaVersion);
+}
+
+TEST(TelemetryJsonlTest, ValidatorReadsSchemaOneHeaders) {
+  // A schema-1 header carried one more key, a boolean about hardware
+  // counters; the validator passes keys it does not know, so such files
+  // stay readable.
+  std::string old = WrittenJsonl(2);
+  const std::string current =
+      "\"schema\": " + std::to_string(telemetry::kTelemetrySchemaVersion);
+  const size_t pos = old.find(current);
+  ASSERT_NE(pos, std::string::npos);
+  old.replace(pos, current.size(), "\"schema\": 1");
+  const size_t fields = old.find(", \"stats_fields\"");
+  ASSERT_NE(fields, std::string::npos);
+  old.insert(fields, ", \"counters_flag\": false");
+  std::istringstream in(old);
+  EXPECT_EQ(telemetry::ValidateTelemetryJsonl(in), "");
 }
 
 // -------------------------------------------------------------- HTTP server --
@@ -444,7 +479,6 @@ TEST(MetricsEndpointTest, ServesMetricsSeriesAnd404) {
   ManualClock clock;
   TelemetryOptions options;
   options.background = false;
-  options.hw_counters = false;
   options.clock = &clock;
   options.metrics_port = 0;  // ephemeral
   Telemetry telemetry(options);
@@ -477,9 +511,9 @@ TEST(MetricsEndpointTest, ServesMetricsSeriesAnd404) {
   EXPECT_NE(series_response.find("200 OK"), std::string::npos);
   const size_t body_at = series_response.find("\r\n\r\n");
   ASSERT_NE(body_at, std::string::npos);
-  const perf::JsonParseResult parsed = perf::ParseJson(series_response.substr(body_at + 4));
+  const JsonParseResult parsed = ParseJson(series_response.substr(body_at + 4));
   ASSERT_TRUE(parsed.ok()) << parsed.error;
-  const perf::JsonValue* samples = parsed.value.Find("samples");
+  const JsonValue* samples = parsed.value.Find("samples");
   ASSERT_NE(samples, nullptr);
   ASSERT_EQ(samples->Items().size(), 1u);
   EXPECT_DOUBLE_EQ(samples->Items()[0].Find("completed")->AsNumber(), 25.0);
@@ -540,7 +574,6 @@ struct ServingTelemetry {
   ServingTelemetry() {
     TelemetryOptions options;
     options.background = false;
-    options.hw_counters = false;
     options.clock = &clock;
     options.metrics_port = 0;
     telemetry = std::make_unique<Telemetry>(options);
@@ -634,37 +667,6 @@ TEST(MetricsEndpointTest, SlowClientDoesNotBlockConcurrentScrapes) {
   serving.telemetry->Stop();
 }
 
-// ------------------------------------------------------- hardware counters --
-
-TEST(HwCountersTest, DegradesGracefullyAndDeltaRespectsAvailability) {
-  // Whether perf_event works here depends on the kernel/container; either
-  // way construction and reads must not crash, and unavailability must come
-  // with a human-readable detail.
-  TelemetryOptions options;
-  options.background = false;
-  Telemetry telemetry(options);
-  telemetry.StartHw();
-  const HwSample now = telemetry.HwNow();
-  if (!telemetry.hw_available()) {
-    EXPECT_FALSE(now.available);
-    EXPECT_FALSE(telemetry.hw_detail().empty());
-  } else {
-    EXPECT_TRUE(now.available);
-  }
-
-  HwSample begin;
-  HwSample end;
-  end.available = true;
-  end.cycles = 100;
-  // One side unavailable: the delta carries no information.
-  EXPECT_FALSE(HwSample::Delta(end, begin).available);
-  begin.available = true;
-  begin.cycles = 40;
-  const HwSample delta = HwSample::Delta(end, begin);
-  EXPECT_TRUE(delta.available);
-  EXPECT_EQ(delta.cycles, 60);
-}
-
 // ------------------------------------------------------------- end to end --
 
 TEST(TelemetryEndToEndTest, DriverRunProducesAValidSeries) {
@@ -676,7 +678,6 @@ TEST(TelemetryEndToEndTest, DriverRunProducesAValidSeries) {
   config.seed = 77;
   TelemetryOptions options;
   options.interval_seconds = 0.05;
-  options.hw_counters = false;
   Telemetry telemetry(options);
   RunInstruments instruments;
   instruments.telemetry = &telemetry;

@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "src/check/history.h"
-#include "src/perf/json.h"
+#include "src/common/json.h"
 #include "src/stm/field.h"
 #include "src/stm/lock_table.h"
 #include "src/stm/stm.h"
@@ -482,7 +482,7 @@ TEST(ObserverCompositionTest, OracleAndTracerSeeTheSameRunUnchanged) {
 
 // -------------------------------------------------- Chrome trace golden ---
 
-std::set<std::string> KeysOf(const perf::JsonValue& object) {
+std::set<std::string> KeysOf(const JsonValue& object) {
   std::set<std::string> keys;
   for (const auto& [key, value] : object.Members()) {
     (void)value;
@@ -516,9 +516,9 @@ TEST(ChromeTraceGoldenTest, DocumentShapeAndKeySetsArePinned) {
   WriteChromeTrace(out, streams, options);
 
   // The in-tree parser (what sb7-bench --validate-json runs) must accept it.
-  const perf::JsonParseResult parsed = perf::ParseJson(out.str());
+  const JsonParseResult parsed = ParseJson(out.str());
   ASSERT_TRUE(parsed.ok()) << parsed.error;
-  const perf::JsonValue& doc = parsed.value;
+  const JsonValue& doc = parsed.value;
 
   EXPECT_EQ(KeysOf(doc),
             (std::set<std::string>{"displayTimeUnit", "traceEvents", "otherData"}));
@@ -528,18 +528,18 @@ TEST(ChromeTraceGoldenTest, DocumentShapeAndKeySetsArePinned) {
   EXPECT_EQ(doc.Find("otherData")->Find("tool")->AsString(), "stmbench7");
   EXPECT_EQ(doc.Find("otherData")->Find("dropped_events")->AsNumber(), 2.0);
 
-  const perf::JsonValue* events = doc.Find("traceEvents");
+  const JsonValue* events = doc.Find("traceEvents");
   ASSERT_NE(events, nullptr);
   // Stream 0: metadata + validation + abort span + backoff + commit span;
   // stream 1: metadata only — the orphaned commit is skipped, not invented.
   ASSERT_EQ(events->Items().size(), 6u);
 
-  const perf::JsonValue& meta = events->Items()[0];
+  const JsonValue& meta = events->Items()[0];
   EXPECT_EQ(meta.Find("ph")->AsString(), "M");
   EXPECT_EQ(meta.Find("name")->AsString(), "thread_name");
   EXPECT_EQ(meta.Find("args")->Find("name")->AsString(), "worker-0");
 
-  const perf::JsonValue& validation = events->Items()[1];
+  const JsonValue& validation = events->Items()[1];
   EXPECT_EQ(KeysOf(validation), (std::set<std::string>{"ph", "pid", "tid", "ts", "s",
                                                        "name", "cat", "args"}));
   EXPECT_EQ(validation.Find("ph")->AsString(), "i");
@@ -548,7 +548,7 @@ TEST(ChromeTraceGoldenTest, DocumentShapeAndKeySetsArePinned) {
   // Timestamps are microseconds relative to the earliest event (1000 ns).
   EXPECT_EQ(validation.Find("ts")->AsNumber(), 0.5);
 
-  const perf::JsonValue& abort_span = events->Items()[2];
+  const JsonValue& abort_span = events->Items()[2];
   EXPECT_EQ(KeysOf(abort_span), (std::set<std::string>{"ph", "pid", "tid", "ts", "dur",
                                                        "name", "cat", "cname", "args"}));
   EXPECT_EQ(abort_span.Find("ph")->AsString(), "X");
@@ -560,11 +560,11 @@ TEST(ChromeTraceGoldenTest, DocumentShapeAndKeySetsArePinned) {
             (std::set<std::string>{"op", "outcome", "retry", "cause"}));
   EXPECT_EQ(abort_span.Find("args")->Find("cause")->AsString(), "read_validation");
 
-  const perf::JsonValue& backoff = events->Items()[3];
+  const JsonValue& backoff = events->Items()[3];
   EXPECT_EQ(backoff.Find("name")->AsString(), "backoff");
   EXPECT_EQ(backoff.Find("args")->Find("attempt")->AsNumber(), 1.0);
 
-  const perf::JsonValue& commit_span = events->Items()[4];
+  const JsonValue& commit_span = events->Items()[4];
   EXPECT_EQ(commit_span.Find("ph")->AsString(), "X");
   EXPECT_EQ(commit_span.Find("name")->AsString(), "OP1");
   EXPECT_EQ(commit_span.Find("cname")->AsString(), "good");
@@ -573,7 +573,7 @@ TEST(ChromeTraceGoldenTest, DocumentShapeAndKeySetsArePinned) {
       << "committed spans carry no cause";
   EXPECT_EQ(commit_span.Find("args")->Find("retry")->AsNumber(), 1.0);
 
-  const perf::JsonValue& meta1 = events->Items()[5];
+  const JsonValue& meta1 = events->Items()[5];
   EXPECT_EQ(meta1.Find("ph")->AsString(), "M");
   EXPECT_EQ(meta1.Find("args")->Find("name")->AsString(), "worker-1");
 }

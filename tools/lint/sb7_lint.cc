@@ -24,10 +24,12 @@
 //       schema (and the lock) is the exact drift this catches. The redo-log
 //       pin matters doubly: old logs must stay replayable after a crash.
 //       Refresh the lock deliberately with `sb7-lint --update-schema-lock`.
-//   R5  harness layering — no file under src/harness/ other than main.cc
-//       may include a src/mvstm/ or src/net/ header: the driver, CLI and
-//       report stay generic, and main.cc plugs in the redo log (an mvstm
-//       capability) and the network front-end.
+//   R5  layering — no file under src/harness/ other than main.cc may
+//       include a src/mvstm/ or src/net/ header: the driver, CLI and report
+//       stay generic, and main.cc plugs in the redo log (an mvstm
+//       capability) and the network front-end. No file under src/telemetry/
+//       or src/trace/ may include a src/perf/ or src/harness/ header: the
+//       instruments sit below the driver and the sweep tooling that use them.
 //
 // Exit codes: 0 clean, 1 findings, 2 usage/environment error.
 
@@ -300,20 +302,38 @@ void CheckObserverNoexcept(const SourceFile& file, std::vector<Finding>* finding
   }
 }
 
-// --- R5: harness layering ------------------------------------------------
+bool HasPrefix(const std::string& text, const std::string& prefix) {
+  return text.compare(0, prefix.size(), prefix) == 0;
+}
 
-void CheckHarnessIncludes(const SourceFile& file, std::vector<Finding>* findings) {
+// --- R5: layering ---------------------------------------------------------
+
+// The header directories a file at `label` may not include; empty where no
+// layering rule applies.
+std::vector<std::string> ForbiddenIncludes(const std::string& label) {
+  if (HasPrefix(label, "src/harness/") && label != "src/harness/main.cc") {
+    return {"src/mvstm/", "src/net/"};
+  }
+  if (HasPrefix(label, "src/telemetry/") || HasPrefix(label, "src/trace/")) {
+    return {"src/perf/", "src/harness/"};
+  }
+  return {};
+}
+
+void CheckLayering(const SourceFile& file, const std::string& label,
+                   std::vector<Finding>* findings) {
+  const std::vector<std::string> forbidden = ForbiddenIncludes(label);
   for (size_t l = 0; l < file.code.size(); ++l) {
     // `code` keeps the directive but blanks the quoted path; `raw` has it.
     const size_t hash = file.code[l].find_first_not_of(" \t");
     if (hash == std::string::npos || file.code[l].compare(hash, 8, "#include") != 0) {
       continue;
     }
-    for (const char* layer : {"\"src/mvstm/", "\"src/net/"}) {
-      if (file.raw[l].find(layer) != std::string::npos) {
+    for (const std::string& layer : forbidden) {
+      if (file.raw[l].find('"' + layer) != std::string::npos) {
+        const std::string dir = label.substr(0, label.find('/', 4) + 1);
         findings->push_back({file.label, static_cast<int>(l + 1), "R5",
-                             std::string("src/harness/ includes a ") + (layer + 1) +
-                                 " header; only main.cc may"});
+                             dir + " may not include a " + layer + " header"});
       }
     }
   }
@@ -503,10 +523,6 @@ void CompareSchemas(const Schema& lock, const Schema& current,
 
 // --- driver ----------------------------------------------------------------
 
-bool HasPrefix(const std::string& text, const std::string& prefix) {
-  return text.compare(0, prefix.size(), prefix) == 0;
-}
-
 bool IsSourceFile(const fs::path& path) {
   const std::string ext = path.extension().string();
   return ext == ".h" || ext == ".cc";
@@ -538,7 +554,6 @@ std::vector<Finding> LintTree(const fs::path& root, std::string* error) {
                           HasPrefix(label, "src/telemetry/") ||
                           HasPrefix(label, "src/net/") || HasPrefix(label, "src/sync/");
     const bool r2_allowed = HasPrefix(label, "src/stm/") || HasPrefix(label, "src/mvstm/");
-    const bool r5_scope = HasPrefix(label, "src/harness/") && label != "src/harness/main.cc";
     if (r1_scope) {
       CheckAtomicsDiscipline(*file, &findings);
     }
@@ -546,9 +561,7 @@ std::vector<Finding> LintTree(const fs::path& root, std::string* error) {
       CheckRawAccessScope(*file, &findings);
     }
     CheckObserverNoexcept(*file, &findings);
-    if (r5_scope) {
-      CheckHarnessIncludes(*file, &findings);
-    }
+    CheckLayering(*file, label, &findings);
   }
   const auto current = CollectSchema(root, error);
   if (!current) {
@@ -583,13 +596,20 @@ int RunSelfTest(const fs::path& root) {
     }
   };
   const fs::path fixtures = root / "tools/lint/fixtures";
+  // `as` is the path the selftest treats the fixture as living at (R5
+  // depends on the directory).
   struct Case {
     const char* file;
+    const char* as;
     const char* rule;
     int min_findings;
   };
-  for (const Case& c : {Case{"bad_r1.cc", "R1", 2}, Case{"bad_r2.cc", "R2", 3},
-                        Case{"bad_r3.cc", "R3", 1}, Case{"bad_r5.cc", "R5", 2}}) {
+  for (const Case& c : {Case{"bad_r1.cc", "src/stm/bad_r1.cc", "R1", 2},
+                        Case{"bad_r2.cc", "src/ops/bad_r2.cc", "R2", 3},
+                        Case{"bad_r3.cc", "src/trace/bad_r3.cc", "R3", 1},
+                        Case{"bad_r5.cc", "src/harness/bad_r5.cc", "R5", 2},
+                        Case{"bad_r5_instruments.cc", "src/telemetry/bad_r5_instruments.cc",
+                             "R5", 2}}) {
     const auto file = LoadFile(fixtures / c.file, c.file);
     if (!file) {
       expect(false, std::string("missing fixture ") + c.file);
@@ -599,7 +619,7 @@ int RunSelfTest(const fs::path& root) {
     CheckAtomicsDiscipline(*file, &findings);
     CheckRawAccessScope(*file, &findings);
     CheckObserverNoexcept(*file, &findings);
-    CheckHarnessIncludes(*file, &findings);
+    CheckLayering(*file, c.as, &findings);
     expect(CountRule(findings, c.rule) >= c.min_findings,
            std::string(c.file) + " should trip " + c.rule + " at least " +
                std::to_string(c.min_findings) + "x, got " +
@@ -613,7 +633,8 @@ int RunSelfTest(const fs::path& root) {
     CheckAtomicsDiscipline(*clean, &findings);
     CheckRawAccessScope(*clean, &findings);
     CheckObserverNoexcept(*clean, &findings);
-    CheckHarnessIncludes(*clean, &findings);
+    CheckLayering(*clean, "src/harness/good_clean.cc", &findings);
+    CheckLayering(*clean, "src/telemetry/good_clean.cc", &findings);
     expect(findings.empty(), "good_clean.cc should be clean, got " +
                                  std::to_string(findings.size()) + " findings");
   }
