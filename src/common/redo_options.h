@@ -45,15 +45,16 @@ enum class CrashPoint {
   kBeforeAppend,  // record never reaches the file
   kTornWrite,     // only a prefix of the frame reaches the file
   kAfterAppend,   // full frame written, fsync skipped
+  kFailedSync,    // full frame written, its sync reports EIO (not a crash)
 };
 
 // Indexed by CrashPoint.
 inline constexpr const char* kCrashPointNames[] = {"none", "before-append", "torn-write",
-                                                   "after-append"};
+                                                   "after-append", "failed-sync"};
 
 // Parses a point the writer can fire at; "none" is not one.
 inline bool ParseCrashPoint(std::string_view name, CrashPoint* out) {
-  for (int i = 1; i < 4; ++i) {
+  for (int i = 1; i < 5; ++i) {
     if (name == kCrashPointNames[i]) {
       *out = static_cast<CrashPoint>(i);
       return true;
@@ -72,7 +73,9 @@ struct CrashConfig {
   // Invoked after the wound; the CLI leaves this unset, which _Exit(137)s
   // the process. Tests install a flag-setting hook, after which the writer
   // is dead: every later append and the close record are dropped, so the
-  // file stays exactly in its crash state.
+  // file stays exactly in its crash state. kFailedSync kills nothing: the
+  // hook, when set, runs before the sync reports its failure, and the
+  // writer is failed, not dead.
   std::function<void()> on_fire;
 };
 

@@ -50,7 +50,9 @@ std::string UsageText() {
                          (default off; requires --redo-log)
   --crash-at <point>:<n> fault injection: wound the log and die at group n;
                          point is before-append | torn-write | after-append
-                         (requires --redo-log; exits 137, like kill -9)
+                         (requires --redo-log; exits 137, like kill -9), or
+                         failed-sync, whose sync of group n reports EIO
+                         (requires --durability group|always; exits 1)
   --recover <file>       replay a redo log instead of running a benchmark and
                          print the recovered world's fingerprint (-g selects
                          the replay backend, default mvstm)
@@ -268,7 +270,7 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
           !ParseUint64(value.substr(colon + 1), group)) {
         return fail(
             "--crash-at requires <point>:<group> with point one of "
-            "before-append, torn-write, after-append");
+            "before-append, torn-write, after-append, failed-sync");
       }
       result.redo_log.crash.at_group = group;
       durability_knob_given = true;
@@ -403,6 +405,10 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
   }
   if (durability_knob_given && result.redo_log.path.empty()) {
     return fail("--durability/--crash-at only apply with --redo-log <file>");
+  }
+  if (result.redo_log.crash.point == redo::CrashPoint::kFailedSync &&
+      result.redo_log.durability == redo::Durability::kOff) {
+    return fail("--crash-at failed-sync needs --durability group or always");
   }
   if (!result.redo_log.path.empty() && config.strategy != "mvstm") {
     return fail("--redo-log requires -g mvstm (group commit is an mvstm capability)");

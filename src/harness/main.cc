@@ -296,10 +296,11 @@ int main(int argc, char** argv) {
 
   if (redo_log != nullptr) {
     const sb7::redo::RedoLogWriter& writer = redo_log->writer();
-    const sb7::redo::WriterStats& stats = writer.stats();
+    const sb7::redo::WriterStats stats = writer.stats();
     std::cerr << "redo log: " << writer.path() << " — " << stats.groups
               << " groups, " << stats.members << " commits, " << stats.bytes
-              << " bytes, " << stats.fsyncs << " fsyncs (durability="
+              << " bytes, " << stats.fsyncs << " fsyncs, " << stats.overlapped_syncs
+              << " overlapped (durability="
               << sb7::redo::DurabilityName(writer.durability())
               << (writer.closed() ? ", closed cleanly)" : ", NOT closed)") << "\n";
     if (!writer.ok()) {

@@ -5,14 +5,18 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/check/history.h"
+#include "src/common/rng.h"
 #include "src/ebr/ebr.h"
 #include "src/mc/scheduler.h"
 #include "src/mc/sync_point.h"
 #include "src/mvstm/group_commit.h"
 #include "src/mvstm/mvstm.h"
 #include "src/mvstm/redo_log.h"
+#include "src/stm/field.h"
 #include "src/stm/stm.h"
 #include "src/stm/stm_factory.h"
 
@@ -536,6 +540,9 @@ struct GroupCommitCells {
   std::unique_ptr<HistoryRecorder> recorder;
   int64_t r1 = 0, r2 = 0;
   uint64_t members_before = 0;
+  uint64_t groups_before = 0;
+  // Per committer: the writer's synced prefix when its commit returned.
+  uint64_t synced_at_return[2] = {0, 0};
 };
 
 // The recorder goes in before the reset, as in StmSetup. The reset commits
@@ -547,12 +554,14 @@ void GroupCommitSetup(const std::shared_ptr<GroupCommitCells>& cells) {
   ResetCells(cells->stm, cells->x, cells->y);
   cells->r1 = cells->r2 = 0;
   cells->members_before = cells->writer.stats().members;
+  cells->groups_before = cells->writer.stats().groups;
 }
 
 // Opacity gate plus the write-ahead gate: every byte the sequencer appended
 // must frame-check, and every commit that published must have reached the
 // log first — under any interleaving the explorer finds.
-std::string GroupCommitFailure(GroupCommitCells& cells, uint64_t want_members) {
+std::string GroupCommitFailure(GroupCommitCells& cells, uint64_t want_members,
+                               std::vector<redo::GroupRecord>* scanned = nullptr) {
   cells.recorder->Uninstall();
   const History history = cells.recorder->TakeHistory();
   const OpacityResult result = CheckOpacity(history);
@@ -580,6 +589,9 @@ std::string GroupCommitFailure(GroupCommitCells& cells, uint64_t want_members) {
     out << "scan sees " << summary.members << " members, writer appended "
         << cells.writer.stats().members;
     return out.str();
+  }
+  if (scanned != nullptr) {
+    *scanned = std::move(groups);
   }
   return std::string();
 }
@@ -654,6 +666,62 @@ Litmus MakeGroupCommitSnapshot() {
   return litmus;
 }
 
+// Two committers on disjoint cells, so neither evicts the other and both
+// groups can be in flight at once. The in-memory writer's sync is two
+// steps, so the explorer can end the later group's sync first. A committer
+// tags its member record (client_tag 1 or 2, as a served request's id
+// would) to find its group in the log; acknowledgement is in log order
+// when each committer returned only after its own group and every earlier
+// one were synced.
+Litmus MakeGroupCommitPipelined() {
+  auto cells = std::make_shared<GroupCommitCells>();
+  Litmus litmus;
+  litmus.name = "mvstm-group-commit-pipelined";
+  litmus.summary = "a later group's sync may end first, but no commit returns before its prefix";
+  litmus.expect_violation = false;
+  litmus.setup = [cells] { GroupCommitSetup(cells); };
+  const auto committer = [cells](int index) {
+    return [cells, index] {
+      SetTxOpContext(-1, static_cast<uint64_t>(index) + 1);
+      redo::CaptureAttemptContext(Rng());
+      McCell& cell = index == 0 ? cells->x : cells->y;
+      cells->stm.RunAtomically([&](Transaction&) { cell.value.Set(1); });
+      cells->synced_at_return[index] = cells->writer.synced_prefix();
+      SetTxOpContext(-1, 0);
+    };
+  };
+  litmus.bodies = {committer(0), committer(1)};
+  litmus.check = [cells]() -> std::string {
+    std::vector<redo::GroupRecord> groups;
+    if (std::string failure = GroupCommitFailure(*cells, /*want_members=*/2, &groups);
+        !failure.empty()) {
+      return failure;
+    }
+    if (cells->x.value.Get() != 1 || cells->y.value.Get() != 1) {
+      return "a commit through a pipelined group was lost";
+    }
+    for (const redo::GroupRecord& group : groups) {
+      if (group.group_seq < cells->groups_before) {
+        continue;
+      }
+      for (const redo::MemberRecord& member : group.members) {
+        if (member.client_tag != 1 && member.client_tag != 2) {
+          continue;
+        }
+        const uint64_t synced = cells->synced_at_return[member.client_tag - 1];
+        if (synced <= group.group_seq) {
+          std::ostringstream out;
+          out << "committer " << member.client_tag << " returned with groups below "
+              << synced << " synced, but its group is " << group.group_seq;
+          return out.str();
+        }
+      }
+    }
+    return std::string();
+  };
+  return litmus;
+}
+
 std::vector<Litmus> BuildAll() {
   std::vector<Litmus> all;
   all.push_back(MakeAstmPriorityRace());
@@ -672,6 +740,7 @@ std::vector<Litmus> BuildAll() {
   }
   all.push_back(MakeGroupCommitPair());
   all.push_back(MakeGroupCommitSnapshot());
+  all.push_back(MakeGroupCommitPipelined());
   return all;
 }
 

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "src/check/fingerprint.h"
@@ -214,26 +215,80 @@ ExtractStatus TryExtractRecord(const std::string& bytes, size_t* offset,
 
 RedoLogWriter::RedoLogWriter(std::string path, Durability durability)
     : path_(std::move(path)), durability_(durability) {
+  std::fill(std::begin(sync_fds_), std::end(sync_fds_), -1);
   if (path_.empty()) {
     return;  // in-memory mode
   }
   fd_ = ::open(path_.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
   if (fd_ < 0) {
-    ok_ = false;
-    error_ = "cannot open redo log '" + path_ + "': " + std::strerror(errno);
+    Fail("cannot open redo log '" + path_ + "': " + std::strerror(errno));
     return;
   }
   // Only a regular file takes a reservation; a FIFO or a device log is
   // written as it comes.
   struct stat st = {};
   reserving_ = ::fstat(fd_, &st) == 0 && S_ISREG(st.st_mode);
+  if (durability_ == Durability::kOff) {
+    return;  // only Close syncs, through fd_
+  }
+  // The group syncs' open file descriptions, opened before anything is
+  // written, so each one's error cursor predates every page of the log.
+  for (int& fd : sync_fds_) {
+    fd = ::open(path_.c_str(), O_WRONLY);
+    if (fd < 0) {
+      Fail("cannot open redo log '" + path_ + "' for its syncs: " + std::strerror(errno));
+      return;
+    }
+  }
 }
 
-RedoLogWriter::~RedoLogWriter() {
+RedoLogWriter::~RedoLogWriter() { CloseFiles(); }
+
+void RedoLogWriter::CloseFiles() {
+  for (int& fd : sync_fds_) {
+    if (fd >= 0) {
+      ::close(fd);
+      fd = -1;
+    }
+  }
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+std::string RedoLogWriter::error() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return error_;
+}
+
+void RedoLogWriter::Fail(std::string error) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (error_.empty()) {
+    error_ = std::move(error);  // the first failure is the cause
+  }
+  // mo: release — pairs with ok()'s acquire.
+  ok_.store(false, std::memory_order_release);
+}
+
+WriterStats RedoLogWriter::stats() const {
+  WriterStats stats;
+  // mo: relaxed (all) — counters; a snapshot taken while groups commit may
+  // mix their states.
+  stats.groups = groups_.load(std::memory_order_relaxed);
+  stats.members = members_.load(std::memory_order_relaxed);
+  stats.bytes = bytes_.load(std::memory_order_relaxed);
+  stats.fsyncs = fsyncs_.load(std::memory_order_relaxed);
+  stats.overlapped_syncs = overlapped_syncs_.load(std::memory_order_relaxed);
+  return stats;
+}
+
+uint64_t RedoLogWriter::synced_prefix() const {
+  // mo: relaxed — a sync point the explorer orders against each sync's
+  // end; the prefix itself is under mu_.
+  (void)sync_ends_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  return synced_prefix_;
 }
 
 void RedoLogWriter::WriteRaw(const char* data, size_t len) {
@@ -254,8 +309,7 @@ void RedoLogWriter::WriteRaw(const char* data, size_t len) {
                              static_cast<off_t>(want - reserved_));
     } while (rc == EINTR);  // a signal arrived first; retry, as write() does
     if (rc != 0) {
-      ok_ = false;
-      error_ = "reserving space in redo log '" + path_ + "' failed: " + std::strerror(rc);
+      Fail("reserving space in redo log '" + path_ + "' failed: " + std::strerror(rc));
       return;
     }
     reserved_ = want;
@@ -267,8 +321,7 @@ void RedoLogWriter::WriteRaw(const char* data, size_t len) {
       continue;  // a signal arrived before anything was written; retry
     }
     if (n < 0) {
-      ok_ = false;
-      error_ = "write to redo log '" + path_ + "' failed: " + std::strerror(errno);
+      Fail("write to redo log '" + path_ + "' failed: " + std::strerror(errno));
       return;
     }
     written += static_cast<size_t>(n);
@@ -276,20 +329,19 @@ void RedoLogWriter::WriteRaw(const char* data, size_t len) {
   }
 }
 
-void RedoLogWriter::Sync() {
-  if (fd_ < 0) {
-    return;
+bool RedoLogWriter::Sync(int fd) {
+  if (::fdatasync(fd) != 0) {
+    Fail("fdatasync of redo log '" + path_ + "' failed: " + std::strerror(errno));
+    return false;
   }
-  if (::fdatasync(fd_) != 0) {
-    ok_ = false;
-    error_ = "fdatasync of redo log '" + path_ + "' failed: " + std::strerror(errno);
-    return;
-  }
-  ++stats_.fsyncs;
+  // mo: relaxed — a counter.
+  fsyncs_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 void RedoLogWriter::Fire() {
-  dead_ = true;
+  // mo: relaxed — read by SyncGroup, whose group the crash already lost.
+  dead_.store(true, std::memory_order_relaxed);
   if (crash_.on_fire) {
     crash_.on_fire();
     return;
@@ -300,7 +352,7 @@ void RedoLogWriter::Fire() {
 
 void RedoLogWriter::WriteFileHeader(uint64_t seed, const std::string& scale,
                                     const std::string& backend) {
-  if (dead_ || !ok_) {
+  if (dead() || !ok()) {
     return;
   }
   FileHeaderRecord header;
@@ -310,17 +362,18 @@ void RedoLogWriter::WriteFileHeader(uint64_t seed, const std::string& scale,
   std::string frame;
   AppendRecordFrame(&frame, EncodeFileHeader(header));
   WriteRaw(frame.data(), frame.size());
-  stats_.bytes += frame.size();
-  if (durability_ != Durability::kOff) {
-    Sync();
+  // mo: relaxed — a counter.
+  bytes_.fetch_add(frame.size(), std::memory_order_relaxed);
+  if (durability_ != Durability::kOff && fd_ >= 0 && ok()) {
+    Sync(fd_);
   }
 }
 
 bool RedoLogWriter::AppendGroup(const GroupRecord& group) {
-  if (dead_) {
+  if (dead()) {
     return true;
   }
-  if (!ok_) {
+  if (!ok()) {
     return false;
   }
   std::string frame;
@@ -338,45 +391,84 @@ bool RedoLogWriter::AppendGroup(const GroupRecord& group) {
     return true;
   }
   WriteRaw(frame.data(), frame.size());
-  if (!ok_) {
+  if (!ok()) {
     return false;
   }
-  ++stats_.groups;
-  stats_.members += group.members.size();
-  stats_.bytes += frame.size();
+  // mo: relaxed (all) — counters.
+  groups_.fetch_add(1, std::memory_order_relaxed);
+  members_.fetch_add(group.members.size(), std::memory_order_relaxed);
+  bytes_.fetch_add(frame.size(), std::memory_order_relaxed);
   if (fire && crash_.point == CrashPoint::kAfterAppend) {
     Fire();  // the append is in the page cache but was never fsynced
+  }
+  return true;
+}
+
+bool RedoLogWriter::SyncGroup(uint64_t group_seq) {
+  if (durability_ == Durability::kOff || dead()) {
     return true;
   }
-  if (durability_ != Durability::kOff) {
-    Sync();
+  if (!ok()) {
+    return false;
   }
-  return ok_;
+  // mo: relaxed (both) — counters; the in-flight count orders nothing.
+  if (syncs_in_flight_.fetch_add(1, std::memory_order_relaxed) > 0) {
+    overlapped_syncs_.fetch_add(1, std::memory_order_relaxed);
+  }
+  bool synced = true;
+  if (crash_.point == CrashPoint::kFailedSync && group_seq == crash_.at_group) {
+    if (crash_.on_fire) {
+      crash_.on_fire();
+    }
+    Fail("fdatasync of redo log '" + path_ + "' failed: " + std::strerror(EIO) +
+         " (injected at group " + std::to_string(group_seq) + ")");
+    synced = false;
+  } else if (fd_ >= 0) {
+    synced = Sync(sync_fds_[group_seq % kMaxSyncsInFlight]);
+  } else {
+    // The in-memory model of a sync that another can overtake: it started
+    // above, covering this group, and ends here, marking it synced. The
+    // end's sync point lets the explorer run a later group's whole sync
+    // first, and its write orders the end against synced_prefix()'s read.
+    // mo: relaxed — the marks below are under mu_.
+    sync_ends_.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (synced_.size() <= group_seq) {
+      synced_.resize(group_seq + 1, false);
+    }
+    synced_[group_seq] = true;
+    while (synced_prefix_ < synced_.size() && synced_[synced_prefix_]) {
+      ++synced_prefix_;
+    }
+  }
+  // mo: relaxed — a counter.
+  syncs_in_flight_.fetch_sub(1, std::memory_order_relaxed);
+  return synced;
 }
 
 void RedoLogWriter::Close() {
-  if (dead_ || !ok_ || closed_) {
+  if (dead() || !ok() || closed_) {
     return;
   }
   CloseRecord close;
-  close.groups = stats_.groups;
-  close.members = stats_.members;
+  // mo: relaxed (both) — counters, and the appends are over.
+  close.groups = groups_.load(std::memory_order_relaxed);
+  close.members = members_.load(std::memory_order_relaxed);
   std::string frame;
   AppendRecordFrame(&frame, EncodeClose(close));
   WriteRaw(frame.data(), frame.size());
-  stats_.bytes += frame.size();
+  // mo: relaxed — a counter.
+  bytes_.fetch_add(frame.size(), std::memory_order_relaxed);
   // A cleanly closed log is its records alone; fdatasync makes the trimmed
   // size durable with them.
-  if (reserving_ && ok_ && ::ftruncate(fd_, static_cast<off_t>(written_)) != 0) {
-    ok_ = false;
-    error_ = "trimming redo log '" + path_ + "' failed: " + std::strerror(errno);
+  if (reserving_ && ok() && ::ftruncate(fd_, static_cast<off_t>(written_)) != 0) {
+    Fail("trimming redo log '" + path_ + "' failed: " + std::strerror(errno));
   }
-  Sync();
-  closed_ = true;
   if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
+    Sync(fd_);
   }
+  closed_ = true;
+  CloseFiles();
 }
 
 void ScanLog(const std::string& bytes, std::vector<GroupRecord>* groups,

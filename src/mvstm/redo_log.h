@@ -37,12 +37,15 @@
 #ifndef STMBENCH7_SRC_MVSTM_REDO_LOG_H_
 #define STMBENCH7_SRC_MVSTM_REDO_LOG_H_
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "src/common/redo_options.h"
 #include "src/common/rng.h"
+#include "src/mc/sync_point.h"
 
 namespace sb7::redo {
 
@@ -141,68 +144,114 @@ struct WriterStats {
   uint64_t members = 0;
   uint64_t bytes = 0;
   uint64_t fsyncs = 0;
+  // Syncs that started while another sync of the log was in flight.
+  uint64_t overlapped_syncs = 0;
 };
 
-// Append-side of the log. All appends come from the group-commit leader
-// while it holds the leader slot, so the writer needs no internal locking;
-// WriteFileHeader precedes the workers and Close follows their join.
+// At most this many groups may be between their append and the return of
+// their sync. A file-backed writer syncs group g through its own open file
+// description g % kMaxSyncsInFlight, opened with the log: Linux reports a
+// writeback error once per open file description, so two syncs sharing one
+// could hand the error of the earlier group's page to the later sync alone.
+constexpr uint64_t kMaxSyncsInFlight = 2;
+
+// Append-side of the log. Appends come from the group-commit leader while
+// it holds the leader slot, so log order is the order of AppendGroup calls;
+// a group's sync runs after the leader released the slot, beside the syncs
+// of other groups. WriteFileHeader precedes the workers and Close follows
+// their join. The counters and the failed and dead flags are atomic, and
+// the error message is written under a mutex, because a sync that fails
+// does so outside the slot.
 class RedoLogWriter {
  public:
   // File-backed when `path` is non-empty (created/truncated); in-memory
   // otherwise (tests, litmus runs under the interleaving explorer). A
   // regular file is reserved in whole steps, always past the end of the
   // next append, so a zero byte follows every frame until Close trims the
-  // file; a failed reservation is a write error.
+  // file; a failed reservation is a write error. Unless the policy is kOff,
+  // the log is opened kMaxSyncsInFlight more times for the group syncs.
   RedoLogWriter(std::string path, Durability durability);
   ~RedoLogWriter();
   RedoLogWriter(const RedoLogWriter&) = delete;
   RedoLogWriter& operator=(const RedoLogWriter&) = delete;
 
-  bool ok() const { return ok_; }
-  const std::string& error() const { return error_; }
+  // mo: acquire — pairs with Fail's release, so error() then holds the
+  // failure.
+  bool ok() const { return ok_.load(std::memory_order_acquire); }
+  // The first failure's message; empty while ok().
+  std::string error() const;
 
   void SetCrashConfig(CrashConfig crash) { crash_ = std::move(crash); }
 
   void WriteFileHeader(uint64_t seed, const std::string& scale,
                        const std::string& backend);
-  // Appends (and, per the durability policy, syncs) one group. Returns
-  // false when the group is not in the log because a reservation, write or
-  // sync failed, now or earlier (error() says which); the caller must not
-  // acknowledge any of its members. A writer killed by a crash point drops
-  // the group and returns true: the simulated crash stands for the
-  // process's death.
+  // Writes one group's frame, unsynced. Returns false when the frame is not
+  // in the log because a reservation, write or sync failed, now or earlier
+  // (error() says which); the caller must not acknowledge any of its
+  // members. A writer killed by a crash point drops the group and returns
+  // true: the simulated crash stands for the process's death.
   bool AppendGroup(const GroupRecord& group);
+  // Syncs appended group `group_seq` unless the policy is kOff. May run
+  // beside the syncs of other groups, provided no more than
+  // kMaxSyncsInFlight groups are between AppendGroup and the return of
+  // this call. Returns false when the sync failed (error() says why); the
+  // group and every later one must then stay unacknowledged, and the sync
+  // must not be retried: after a failed fsync the page cache may already
+  // have dropped the data. An in-memory writer models the sync in two
+  // steps, with a sync point between them that lets another group's sync
+  // end first: the start covers this group, the end marks it synced.
+  bool SyncGroup(uint64_t group_seq);
   // Clean shutdown: close record, trim of the unwritten reservation, final
   // sync (every policy). Idempotent.
   void Close();
 
   // True once a crash point fired; the file is frozen in its crash state.
-  bool dead() const { return dead_; }
+  // mo: relaxed — the appends and syncs that read it only skip work.
+  bool dead() const { return dead_.load(std::memory_order_relaxed); }
   bool closed() const { return closed_; }
-  const WriterStats& stats() const { return stats_; }
+  WriterStats stats() const;
   Durability durability() const { return durability_; }
   const std::string& path() const { return path_; }
   // In-memory mode only: the bytes a file would hold.
   const std::string& memory_buffer() const { return memory_; }
+  // In-memory mode only: how many groups, counted from group 0, have all
+  // had their syncs end.
+  uint64_t synced_prefix() const;
 
  private:
   void WriteRaw(const char* data, size_t len);
-  void Sync();
+  // fdatasync of `fd`, counted; a failure fails the writer.
+  bool Sync(int fd);
+  void Fail(std::string error);
   void Fire();
+  void CloseFiles();
 
   std::string path_;
   Durability durability_;
   int fd_ = -1;
+  int sync_fds_[kMaxSyncsInFlight];  // -1 when not open
   bool reserving_ = false;  // fd_ is a regular file
   uint64_t written_ = 0;    // bytes written to fd_
   uint64_t reserved_ = 0;   // file size the reservations reached
   std::string memory_;
-  bool ok_ = true;
-  std::string error_;
-  bool dead_ = false;
+  std::atomic<bool> ok_{true};
+  std::atomic<bool> dead_{false};
   bool closed_ = false;
   CrashConfig crash_;
-  WriterStats stats_;
+  std::atomic<uint64_t> groups_{0};
+  std::atomic<uint64_t> members_{0};
+  std::atomic<uint64_t> bytes_{0};
+  std::atomic<uint64_t> fsyncs_{0};
+  std::atomic<uint64_t> overlapped_syncs_{0};
+  std::atomic<uint64_t> syncs_in_flight_{0};
+  // Guards error_ and, in memory, the sync marks.
+  mutable std::mutex mu_;
+  std::string error_;
+  std::vector<bool> synced_;  // by group_seq
+  uint64_t synced_prefix_ = 0;
+  // In memory: syncs ended. Its atomic operations are the explorer's view
+  // of the marks.
+  sp::AtomicU64 sync_ends_{0};
 };
 
 // ---------------------------------------------------------------------------

@@ -293,7 +293,8 @@ TEST(McStmTest, GroupCommitLitmusesStayOpaqueAndWriteAhead) {
   ExploreOptions options;
   options.max_schedules = 60;
   options.max_steps = 2000;
-  for (const char* name : {"mvstm-group-commit", "mvstm-group-commit-snapshot"}) {
+  for (const char* name : {"mvstm-group-commit", "mvstm-group-commit-snapshot",
+                           "mvstm-group-commit-pipelined"}) {
     const ExploreResult result = Explore(Registered(name), options);
     EXPECT_EQ(result.failures, 0u)
         << name << ": "
@@ -417,7 +418,7 @@ TEST(McStmTest, SetupsRecordTheirResets) {
     EbrDomain::Global().Offline();
     EXPECT_EQ(litmus.check(), "") << litmus.name;
   }
-  EXPECT_EQ(setups, 37);  // seven litmus per backend, two for group commit
+  EXPECT_EQ(setups, 38);  // seven litmus per backend, three for group commit
 }
 
 }  // namespace

@@ -35,6 +35,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -553,6 +554,33 @@ TEST(RedoWriterTest, BitFlipsBeforeTheLastFrameOfAReservedFileAreCorrupt) {
   }
 }
 
+// A power loss in the middle of the pipeline can leave a later group's
+// frame on the disk past an earlier frame that never reached it, whose
+// bytes read as the reservation's zeros. The scan must stop there as
+// corrupt, not as a torn tail, and recover the groups before the hole.
+TEST(RedoWriterTest, ALaterFramePastAnUnsyncedOneReadsAsCorrupt) {
+  RedoLogWriter writer("", Durability::kGroup);
+  writer.WriteFileHeader(1, "tiny", "mvstm");
+  std::vector<uint64_t> ends = {writer.stats().bytes};
+  for (uint64_t seq = 0; seq < 3; ++seq) {
+    ASSERT_TRUE(writer.AppendGroup(OneMemberGroup(seq)));
+    ends.push_back(writer.stats().bytes);
+  }
+  std::string bytes = writer.memory_buffer();
+  bytes.append(4096, '\0');  // the rest of the reservation
+  std::fill(bytes.begin() + static_cast<std::ptrdiff_t>(ends[1]),
+            bytes.begin() + static_cast<std::ptrdiff_t>(ends[2]), '\0');  // group 1
+
+  std::vector<GroupRecord> groups;
+  RecoverySummary summary;
+  ScanLog(bytes, &groups, &summary);
+  EXPECT_TRUE(summary.corrupt) << summary.detail;
+  EXPECT_FALSE(summary.torn_tail);
+  EXPECT_EQ(summary.detail, "frame length checksum mismatch");
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0].group_seq, 0u);
+}
+
 // Fail-stop: no commit is acknowledged that the log does not hold. Every
 // write() to /dev/full fails with ENOSPC, so the writer already fails on its
 // header; the first update commit through the sequencer must then end the
@@ -604,6 +632,76 @@ TEST(RedoWriterTest, FailedReservationEndsTheProcessBeforeTheCommitReturns) {
       "reserving space in redo log '.*' failed: File too large; stopping before commit "
       "group 0 is acknowledged");
   ::unlink(path.c_str());
+}
+
+// Fail-stop across the pipeline: the sync covering group 0 fails only once
+// group 1 has been appended and its own sync has returned. The process must
+// end with status 1 before either commit returns: group 0's sync failed,
+// and group 1 is acknowledged only after every earlier group's sync. The
+// failed-sync hook holds group 0's sync until the writer has counted group
+// 1's (the header's is the first), and the second committer starts only
+// once group 0's sync has begun, so the two commits land in two groups.
+TEST(RedoWriterTest, FailedSyncEndsTheProcessBeforeALaterGroupReturns) {
+  const std::string path = ScratchLog("failsync");
+  EXPECT_EXIT(
+      {
+        RedoLogWriter writer(path, Durability::kGroup);
+        writer.WriteFileHeader(1, "tiny", "mvstm");
+        std::atomic<bool> first_sync_started{false};
+        CrashConfig crash;
+        crash.point = CrashPoint::kFailedSync;
+        crash.at_group = 0;
+        crash.on_fire = [&] {
+          first_sync_started.store(true);
+          for (int ms = 0; ms < 10000 && writer.stats().fsyncs < 2; ++ms) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          std::fprintf(stderr, "group 0's sync fails after %llu fsyncs\n",
+                       static_cast<unsigned long long>(writer.stats().fsyncs));
+        };
+        writer.SetCrashConfig(crash);
+        GroupCommitSequencer sequencer(&writer);
+        MvStm stm;
+        stm.AttachSequencer(&sequencer);
+        TmObject holder;
+        TxField<int64_t> first(holder.unit(), 0);
+        TxField<int64_t> second(holder.unit(), 0);
+        const auto commit = [&stm](TxField<int64_t>& cell) {
+          stm.RunAtomically([&](Transaction&) { cell.Set(1); });
+          std::fprintf(stderr, "a commit returned\n");
+          std::_Exit(0);
+        };
+        std::thread group0([&] { commit(first); });
+        while (!first_sync_started.load()) {
+          std::this_thread::yield();
+        }
+        std::thread group1([&] { commit(second); });
+        group0.join();
+        group1.join();
+      },
+      ::testing::ExitedWithCode(EXIT_FAILURE),
+      "group 0's sync fails after 2 fsyncs.*fatal: fdatasync of redo log '.*' failed: "
+      "Input/output error \\(injected at group 0\\); stopping before commit group 0 is "
+      "acknowledged");
+  ::unlink(path.c_str());
+}
+
+// An in-memory writer's syncs may end in any order; its synced prefix
+// counts only the groups from group 0 whose syncs have all ended.
+TEST(RedoWriterTest, InMemorySyncsEndInAnyOrder) {
+  RedoLogWriter writer("", Durability::kGroup);
+  writer.WriteFileHeader(1, "tiny", "mvstm");
+  for (uint64_t seq = 0; seq < 3; ++seq) {
+    ASSERT_TRUE(writer.AppendGroup(OneMemberGroup(seq)));
+  }
+  EXPECT_EQ(writer.synced_prefix(), 0u);
+  ASSERT_TRUE(writer.SyncGroup(1));
+  EXPECT_EQ(writer.synced_prefix(), 0u);
+  ASSERT_TRUE(writer.SyncGroup(0));
+  EXPECT_EQ(writer.synced_prefix(), 2u);
+  ASSERT_TRUE(writer.SyncGroup(2));
+  EXPECT_EQ(writer.synced_prefix(), 3u);
+  EXPECT_EQ(writer.stats().overlapped_syncs, 0u);
 }
 
 // A log that cannot be opened is an error the caller reports, never an
@@ -994,11 +1092,12 @@ TEST(LiveVsReplayTest, AlwaysDurabilityForcesGroupsOfOne) {
   ASSERT_NE(log, nullptr);
   runner.Run();
   log->Close();
-  const redo::WriterStats& stats = log->writer().stats();
+  const redo::WriterStats stats = log->writer().stats();
   EXPECT_EQ(stats.groups, stats.members);
   EXPECT_GT(stats.groups, 0u);
-  // Header + every group + close each fsync under kAlways.
-  EXPECT_GE(stats.fsyncs, stats.groups);
+  // Header + every group + close each fsync under kAlways, and nothing
+  // else does: a leader syncs its own group only.
+  EXPECT_EQ(stats.fsyncs, stats.groups + 2);
 
   const ReplayResult mv = RecoverFromLog(path, "mvstm");
   EXPECT_TRUE(mv.ok) << mv.error;
